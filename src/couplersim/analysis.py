@@ -14,7 +14,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupler import CouplerParams, exact_propagator, factorized_propagator
+from .coupler import (
+    CouplerParams,
+    build_hamiltonian,
+    exact_propagator,
+    factorized_propagator,
+)
+from .engine import eigh_hermitian
 from .fock import ModeLayout, StateVector
 from .gates import (
     QubitGate,
@@ -47,6 +53,10 @@ __all__ = [
 ]
 
 FREE_PHASE_TOL = 1e-9
+
+# Grid points per batched restriction in scan_times; bounds the working set to
+# a few (chunk, 2^(N+1), dim) complex arrays.
+_SCAN_CHUNK = 64
 
 
 class UnequalCouplings(ValueError):
@@ -205,6 +215,34 @@ def truth_table(
     return TruthTable(rows=tuple(rows), leakage=leakage)
 
 
+def _computational_spectrum(
+    params: CouplerParams, layout: ModeLayout
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of H and the computational rows V_c of its eigenvectors.
+
+    U(t)[comp, comp] = V_c diag(exp(-i t lambda)) V_c^dag for every t, so one
+    decomposition serves any number of interaction times.
+    """
+    _require_truncation(params, layout)
+    evals, vecs = eigh_hermitian(build_hamiltonian(params, layout).entries)
+    return evals, vecs[_computational_indices(layout), :]
+
+
+def _restrictions(
+    evals: np.ndarray, v_comp: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Computational restrictions R(t) and their leakage ||R^dag R - I||_F.
+
+    Returns arrays of shape (len(times), c, c) and (len(times),), where
+    c = 2^(N+1) is the number of computational states.
+    """
+    phases = np.exp(-1j * np.multiply.outer(times, evals))
+    restrictions = (v_comp * phases[:, None, :]) @ v_comp.conj().T
+    gram = np.conj(np.swapaxes(restrictions, 1, 2)) @ restrictions
+    leakage = np.linalg.norm(gram - np.eye(v_comp.shape[0]), axis=(1, 2))
+    return restrictions, leakage
+
+
 def extract_gate(
     params: CouplerParams, layout: ModeLayout, t: float
 ) -> tuple[QubitGate, float]:
@@ -213,14 +251,10 @@ def extract_gate(
     Returns the restriction as a QubitGate (one qubit per mode) together with
     its unitarity defect ||R^dag R - I||_F as the leakage figure.
     """
-    _require_truncation(params, layout)
-    u = exact_propagator(params, layout, t).entries
-    comp = _computational_indices(layout)
-    restriction = u[np.ix_(comp, comp)]
-    gram = restriction.conj().T @ restriction
-    leakage = float(np.linalg.norm(gram - np.eye(comp.size)))
-    gate = QubitGate(layout.mode_count, restriction, f"extracted(t={t:.6g})")
-    return gate, leakage
+    evals, v_comp = _computational_spectrum(params, layout)
+    restrictions, leakage = _restrictions(evals, v_comp, np.array([t], dtype=float))
+    gate = QubitGate(layout.mode_count, restrictions[0], f"extracted(t={t:.6g})")
+    return gate, float(leakage[0])
 
 
 def family_gates(qubit_count: int) -> list[QubitGate]:
@@ -256,24 +290,33 @@ def scan_times(
 
     A grid point is a hit when the extracted gate has leakage <= tol and sits
     within Frobenius distance tol of one of the family gates.  Results are
-    ordered by t.
+    ordered by t.  H is built and diagonalized once; every grid point is then
+    evaluated from that spectrum, a chunk of points at a time.
     """
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
+    if not (math.isfinite(t_min) and math.isfinite(t_max) and math.isfinite(tol)):
+        raise ValueError(
+            f"t_min, t_max and tol must be finite, got {t_min}, {t_max}, {tol}"
+        )
     if not t_min < t_max:
         raise ValueError(f"need t_min < t_max, got [{t_min}, {t_max}]")
     candidates = family_gates(layout.mode_count)
+    labels = [c.label for c in candidates]
+    family = np.stack([c.matrix for c in candidates])
+    evals, v_comp = _computational_spectrum(params, layout)
+    grid = np.linspace(t_min, t_max, steps)
     hits = []
-    for t in np.linspace(t_min, t_max, steps):
-        gate, leakage = extract_gate(params, layout, float(t))
-        if leakage > tol:
-            continue
-        best_dist, best_label = min(
-            (float(np.linalg.norm(gate.matrix - c.matrix)), c.label)
-            for c in candidates
+    for start in range(0, steps, _SCAN_CHUNK):
+        times = grid[start : start + _SCAN_CHUNK]
+        restrictions, leakage = _restrictions(evals, v_comp, times)
+        distances = np.linalg.norm(
+            restrictions[:, None] - family[None], axis=(2, 3)
         )
-        if best_dist <= tol:
-            hits.append(ScanHit(t=float(t), label=best_label, distance=best_dist))
+        close = (leakage <= tol) & (distances.min(axis=1) <= tol)
+        for i in np.flatnonzero(close):
+            best_dist, best_label = min(zip(distances[i].tolist(), labels))
+            hits.append(ScanHit(t=float(times[i]), label=best_label, distance=best_dist))
     return hits
 
 

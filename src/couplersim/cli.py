@@ -27,6 +27,10 @@ _DICHOTOMY_SEED = 1
 _PRODUCT_TOL = 1e-10
 _ENTANGLED_MIN = 0.05
 
+# Float flags that must be finite when given; --w and --g are checked by
+# CouplerParams.
+_FINITE_FLAGS = ("time", "tol", "t_min", "t_max", "theta")
+
 
 @dataclass
 class RunConfig:
@@ -89,7 +93,7 @@ def _json_report(config: dict, results: dict, max_error: float, passed: bool) ->
         "max_error": max_error,
         "passed": passed,
     }
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_text(rows: list[list]) -> str:
@@ -180,6 +184,8 @@ def _schmidt_extrema(gate: gates.QubitGate, samples: int, rng) -> tuple[float, f
 def cmd_gates(args) -> int:
     if args.format != "json":
         raise ValueError("gate reports are json only")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     theta = args.theta if args.theta is not None else math.pi
     family = [
         gates.one_qubit_phase(theta),
@@ -312,9 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_finite_flags(args) -> None:
+    for name in _FINITE_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _require_finite_flags(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,7 +74,8 @@ class NearSingularity(ValueError):
 class CouplerParams:
     """Coupler configuration: N outer modes, frequency w, couplings g_1..g_N.
 
-    Couplings are real, at least one nonzero; hbar = 1 throughout.
+    w and the couplings are finite reals, at least one coupling nonzero;
+    hbar = 1 throughout.
     """
 
     n_outer: int
@@ -92,6 +93,8 @@ class CouplerParams:
             )
         if not all(math.isfinite(g) for g in gs):
             raise ValueError("couplings must be finite and real")
+        if not math.isfinite(self.w):
+            raise ValueError(f"w must be finite, got {self.w}")
         if all(g == 0.0 for g in gs):
             raise ValueError("at least one coupling must be nonzero")
         if self.n_max < 1:

@@ -1,8 +1,9 @@
 """Dense matrix exponentials and distance-up-to-global-phase.
 
-This is the brute-force oracle layer: a Hermitian propagator via
-eigendecomposition and a general exponential via scaling and squaring with a
-Taylor kernel.  Everything operates on plain complex square ndarrays.
+This is the brute-force oracle layer: a checked Hermitian eigendecomposition,
+the Hermitian propagator built on it, and a general exponential via scaling
+and squaring with a Taylor kernel.  Everything operates on plain complex
+square ndarrays.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "ConvergenceFailure",
     "DimensionMismatch",
     "PhaseAlignedDistance",
+    "eigh_hermitian",
     "expm_hermitian",
     "expm_general",
     "phase_distance",
@@ -66,19 +68,30 @@ def _as_square(a, name: str) -> np.ndarray:
     return a
 
 
+def eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues ascending, unitary V) with H = V diag(eigenvalues) V^dag.
+
+    Refuses non-finite and non-Hermitian input; a LAPACK failure is raised as
+    EigenFailure.
+    """
+    h = _as_square(h, "H")
+    if not np.all(np.isfinite(h)):
+        raise NonFinite("H contains non-finite entries")
+    defect = float(np.linalg.norm(h - h.conj().T))
+    if defect > HERMITIAN_TOL * max(1.0, float(np.linalg.norm(h))):
+        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+
+
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i t H) for Hermitian H, by eigendecomposition.
 
     The result is unitary up to a few times machine epsilon.
     """
-    h = _as_square(h, "H")
-    defect = float(np.linalg.norm(h - h.conj().T))
-    if defect > HERMITIAN_TOL * max(1.0, float(np.linalg.norm(h))):
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
-    try:
-        evals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
+    evals, vecs = eigh_hermitian(h)
     return (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
 
 

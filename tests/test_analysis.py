@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from couplersim import analysis, coupler
 from couplersim.analysis import (
     FreePhaseMismatch,
     NotNormalized,
@@ -161,6 +162,109 @@ class TestScanTimes:
             scan_times(params, params.layout(), 1.0, 0.5, 100, tol=0.1)
         with pytest.raises(ValueError):
             scan_times(params, params.layout(), 0.5, 1.0, 1, tol=0.1)
+
+
+def reference_scan(params, t_min, t_max, steps, tol):
+    """Per-point oracle: slice the full exact propagator at every grid point."""
+    layout = params.layout()
+    modes = layout.mode_count
+    comp = [
+        layout.flat_index([(code >> (modes - 1 - b)) & 1 for b in range(modes)])
+        for code in range(2**modes)
+    ]
+    candidates = family_gates(modes)
+    hits = []
+    for t in np.linspace(t_min, t_max, steps):
+        r = exact_propagator(params, layout, float(t)).entries[np.ix_(comp, comp)]
+        if np.linalg.norm(r.conj().T @ r - np.eye(len(comp))) > tol:
+            continue
+        dist, label = min((np.linalg.norm(r - c.matrix), c.label) for c in candidates)
+        if dist <= tol:
+            hits.append((float(t), label, float(dist)))
+    return hits
+
+
+class TestScanOracle:
+    """The batched scan against an independent per-point evaluation."""
+
+    @pytest.mark.parametrize(
+        "params, t_min, t_max, steps",
+        [
+            # N = 1, dim 9; 1001 points is not a multiple of the chunk size.
+            (equal_params(1, 1.0, 0.5, 2), 0.1, 13.0, 1001),
+            # N = 2, dim 64.
+            (equal_params(2, 1.0, math.sqrt(2) / 2.0, 3), 3.0, 6.0, 300),
+            # Unequal couplings: the interaction winds back at t = 2 pi / ||g||.
+            (
+                CouplerParams(
+                    n_outer=2, w=math.sqrt(0.9) / 2.0, couplings=(0.3, 0.9), n_max=3
+                ),
+                5.5,
+                7.5,
+                257,
+            ),
+        ],
+        ids=["n1", "n2", "n2-unequal"],
+    )
+    def test_matches_per_point_reference(self, params, t_min, t_max, steps):
+        tol = 0.05
+        expected = reference_scan(params, t_min, t_max, steps, tol)
+        hits = scan_times(params, params.layout(), t_min, t_max, steps, tol)
+        assert expected, "oracle found no hits; the comparison would be vacuous"
+        assert [(h.t, h.label) for h in hits] == [(t, label) for t, label, _ in expected]
+        for hit, (_, _, dist) in zip(hits, expected):
+            assert abs(hit.distance - dist) <= 1e-12
+
+    @pytest.mark.parametrize("chunks, extra", [(0, 2), (0, 7), (1, 0), (1, 1), (2, 2)])
+    def test_grid_sizes_around_the_chunk(self, chunks, extra):
+        steps = chunks * analysis._SCAN_CHUNK + extra
+        params = equal_params(1, 1.0, 0.5, 2)
+        expected = reference_scan(params, 6.0, 6.6, steps, 0.2)
+        hits = scan_times(params, params.layout(), 6.0, 6.6, steps, 0.2)
+        assert [(h.t, h.label) for h in hits] == [(t, label) for t, label, _ in expected]
+        for hit, (_, _, dist) in zip(hits, expected):
+            assert abs(hit.distance - dist) <= 1e-12
+
+    def test_extract_gate_matches_propagator_slice(self):
+        params = equal_params(2, 0.8, 0.9, 3)
+        layout = params.layout()
+        comp = [layout.flat_index(bits) for bits in np.ndindex(2, 2, 2)]
+        for t in (0.0, 0.37, 2.9):
+            gate, leakage = extract_gate(params, layout, t)
+            r = exact_propagator(params, layout, t).entries[np.ix_(comp, comp)]
+            assert np.linalg.norm(gate.matrix - r) <= 1e-12
+            assert leakage == pytest.approx(
+                np.linalg.norm(r.conj().T @ r - np.eye(8)), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("steps", [2, 500, 3000])
+    def test_hamiltonian_built_and_diagonalized_once(self, monkeypatch, steps):
+        counts = {"build": 0, "eigh": 0}
+        original_build, original_eigh = coupler.build_hamiltonian, np.linalg.eigh
+
+        def counting_build(*args, **kwargs):
+            counts["build"] += 1
+            return original_build(*args, **kwargs)
+
+        def counting_eigh(*args, **kwargs):
+            counts["eigh"] += 1
+            return original_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(coupler, "build_hamiltonian", counting_build)
+        monkeypatch.setattr(analysis, "build_hamiltonian", counting_build)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        params = equal_params(1, 1.0, 0.5, 2)
+        scan_times(params, params.layout(), 0.1, 13.0, steps, tol=0.05)
+        assert counts == {"build": 1, "eigh": 1}
+
+    @pytest.mark.parametrize(
+        "t_min, t_max, tol",
+        [(math.nan, 1.0, 0.1), (0.0, math.inf, 0.1), (0.0, 1.0, math.nan)],
+    )
+    def test_rejects_non_finite_inputs(self, t_min, t_max, tol):
+        params = equal_params(1, 1.0, 0.5, 2)
+        with pytest.raises(ValueError, match="finite"):
+            scan_times(params, params.layout(), t_min, t_max, 100, tol)
 
 
 class TestSchmidt:

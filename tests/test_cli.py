@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from couplersim.cli import main
+from couplersim.cli import _json_report, main
 
 
 def run(capsys, *argv):
@@ -108,6 +108,13 @@ class TestGates:
         mat = np.array([[complex(re, im) for re, im in row] for row in gates[label]])
         np.testing.assert_allclose(mat, np.diag([1, 1j, 1j, 1]), atol=1e-12)
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_is_config_error(self, capsys, samples):
+        code, out, err = run(capsys, "gates", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "samples" in err
+
 
 class TestScan:
     def test_finds_gate_times(self, capsys):
@@ -134,6 +141,42 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--t-min", "2.0", "--t-max", "1.0")
         assert code == 2
         assert "t_min" in err
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--time"),
+            ("verify", "--tol"),
+            ("verify", "--w"),
+            ("truth-table", "--time"),
+            ("truth-table", "--tol"),
+            ("truth-table", "--w"),
+            ("gates", "--theta"),
+            ("gates", "--tol"),
+            ("scan", "--t-min"),
+            ("scan", "--t-max"),
+            ("scan", "--tol"),
+        ],
+        ids=" ".join,
+    )
+    def test_config_error(self, capsys, argv, value):
+        command, flag = argv
+        code, out, err = run(capsys, command, f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_nan_time_is_not_a_pass(self, capsys):
+        code, out, _ = run(capsys, "truth-table", "--time", "nan")
+        assert code == 2
+        assert "NaN" not in out and "passed" not in out
+
+    def test_report_refuses_nan(self):
+        with pytest.raises(ValueError):
+            _json_report({}, {"leakage": math.nan}, 0.0, True)
 
 
 def test_reports_are_byte_stable(tmp_path):

@@ -36,6 +36,11 @@ class TestParams:
         with pytest.raises(ValueError):
             CouplerParams(n_outer=1, w=1.0, couplings=(1.0,), n_max=0)
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_frequency(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            CouplerParams(n_outer=1, w=w, couplings=(1.0,), n_max=2)
+
     def test_gamma(self):
         params = CouplerParams(n_outer=2, w=1.0, couplings=(0.3, 0.4), n_max=2)
         assert params.gamma(2.0) == pytest.approx(4.0 * 0.25)

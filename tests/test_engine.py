@@ -5,8 +5,10 @@ from numpy.testing import assert_allclose
 from couplersim.engine import (
     ConvergenceFailure,
     DimensionMismatch,
+    EigenFailure,
     NonFinite,
     NotHermitian,
+    eigh_hermitian,
     expm_general,
     expm_hermitian,
     is_unitary,
@@ -41,6 +43,36 @@ class TestExpmHermitian:
         h = random_hermitian(rng, n, scale=5.0)
         u = expm_hermitian(h, 10.0)
         assert is_unitary(u, 1e-10)
+
+
+class TestEighHermitian:
+    def test_reconstructs_matrix(self, rng):
+        h = random_hermitian(rng, 6, scale=4.0)
+        evals, vecs = eigh_hermitian(h)
+        assert np.all(np.diff(evals) >= 0.0)
+        assert_allclose((vecs * evals) @ vecs.conj().T, h, atol=1e-12)
+        assert is_unitary(vecs, 1e-12)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            eigh_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NonFinite):
+            eigh_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NonFinite):
+            expm_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]), 1.0)
+
+    def test_lapack_failure_is_typed(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigenFailure, match="converge"):
+            eigh_hermitian(np.eye(2))
+        with pytest.raises(EigenFailure):
+            expm_hermitian(np.eye(2), 1.0)
 
 
 class TestExpmGeneral:
