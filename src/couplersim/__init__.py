@@ -1,10 +1,10 @@
 """Numerical laboratory for a bandgap quantum coupler and its phase gates.
 
 A central bosonic mode exchanges quanta with N outer modes on resonance.  The
-package builds the truncated Fock-space dynamics, verifies an exact symmetric
-disentangling of the propagator against a brute-force exponential oracle, and
-reproduces the conditional phase-gate action of the coupler on two and three
-qubits.
+package builds the dynamics on the excitation blocks K <= n_max, verifies an
+exact symmetric disentangling of the propagator against a brute-force
+exponential oracle, and reproduces the conditional phase-gate action of the
+coupler on two and three qubits.
 """
 
 from .analysis import (
@@ -16,14 +16,12 @@ from .analysis import (
     extract_gate,
     family_gates,
     gate_time,
-    qubit_register_layout,
     random_product_state,
     scan_times,
     schmidt,
     truth_table,
 )
 from .coupler import (
-    AlgebraCheck,
     CouplerParams,
     FactorCoefficients,
     FactorizationReport,
@@ -45,13 +43,8 @@ from .engine import (
 from .fock import (
     DenseOperator,
     ModeLayout,
-    StateVector,
-    annihilation,
-    apply,
-    basis_state,
-    creation,
     excitation_blocks,
-    inner_product,
+    hopping,
     number_operator,
     total_number,
 )

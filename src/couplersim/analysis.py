@@ -21,7 +21,7 @@ from .coupler import (
     factorized_propagator,
 )
 from .engine import eigh_hermitian
-from .fock import ModeLayout, StateVector
+from .fock import ModeLayout
 from .gates import (
     QubitGate,
     control_c_phase,
@@ -35,7 +35,6 @@ from .gates import (
 __all__ = [
     "UnequalCouplings",
     "FreePhaseMismatch",
-    "TruncationTooSmall",
     "NotNormalized",
     "GateTimeSpec",
     "TruthTableRow",
@@ -48,7 +47,6 @@ __all__ = [
     "scan_times",
     "schmidt",
     "family_gates",
-    "qubit_register_layout",
     "random_product_state",
 ]
 
@@ -67,10 +65,6 @@ class FreePhaseMismatch(ValueError):
     pass
 
 
-class TruncationTooSmall(ValueError):
-    pass
-
-
 class NotNormalized(ValueError):
     pass
 
@@ -79,10 +73,11 @@ class NotNormalized(ValueError):
 class GateTimeSpec:
     """An interaction time at which the coupler is a pure phase gate.
 
-    t satisfies sqrt(N) g t = 2 pi k (the collective interaction winds back to
-    the identity) and w t = (2m + 1) pi (odd free phase per excitation).
-    c_effective = 2 pi / (t g) back-computes the constant in the t = 2 pi/(c g)
-    convention; it equals sqrt(N)/k.
+    t satisfies sqrt(N) |g| t = 2 pi k (the collective interaction winds back
+    to the identity) and w t = (2m + 1) pi (odd free phase per excitation).
+    c_effective = 2 pi / (t |g|) back-computes the constant in the
+    t = 2 pi/(c |g|) convention; it equals sqrt(N)/k.  t is positive for
+    either sign of g.
     """
 
     t: float
@@ -104,14 +99,14 @@ def gate_time(params: CouplerParams, k: int = 1) -> GateTimeSpec:
         raise UnequalCouplings(
             f"gate times are defined for equal couplings, got {params.couplings}"
         )
-    t = 2.0 * math.pi * k / (g * math.sqrt(params.n_outer))
+    t = 2.0 * math.pi * k / (abs(g) * math.sqrt(params.n_outer))
     wt = params.w * t
     m = round((wt / math.pi - 1.0) / 2.0)
     if m < 0 or abs(wt - (2 * m + 1) * math.pi) > FREE_PHASE_TOL:
         raise FreePhaseMismatch(
             f"w*t = {wt:.12g} is not an odd multiple of pi (k={k}, w={params.w})"
         )
-    return GateTimeSpec(t=t, k=k, m=m, c_effective=2.0 * math.pi / (t * g))
+    return GateTimeSpec(t=t, k=k, m=m, c_effective=2.0 * math.pi / (t * abs(g)))
 
 
 @dataclass(frozen=True)
@@ -160,17 +155,12 @@ class TruthTable:
         return out
 
 
-def _require_truncation(params: CouplerParams, layout: ModeLayout) -> None:
-    modes = layout.mode_count
-    if layout.n_max < modes:
-        raise TruncationTooSmall(
-            f"need n_max >= {modes} so all computational blocks stay below the "
-            f"cutoff, got n_max={layout.n_max}"
-        )
-
-
 def _computational_indices(layout: ModeLayout) -> np.ndarray:
-    """Flat indices of the occupation-0/1 states, in binary order of the bits."""
+    """Flat indices of the occupation-0/1 states, in binary order of the bits.
+
+    Raises OccupationOutOfRange when n_max is below the mode count, because the
+    all-ones input then lies outside the basis.
+    """
     modes = layout.mode_count
     idx = []
     for code in range(2**modes):
@@ -191,9 +181,8 @@ def truth_table(
     params: CouplerParams, layout: ModeLayout, t: float, method: str = "exact"
 ) -> TruthTable:
     """Evolve each computational basis state and record its diagonal phase."""
-    _require_truncation(params, layout)
-    u = _propagator_matrix(params, layout, t, method)
     comp = _computational_indices(layout)
+    u = _propagator_matrix(params, layout, t, method)
     outside = np.setdiff1d(np.arange(layout.dim), comp)
     rows = []
     leakage = 0.0
@@ -223,9 +212,9 @@ def _computational_spectrum(
     U(t)[comp, comp] = V_c diag(exp(-i t lambda)) V_c^dag for every t, so one
     decomposition serves any number of interaction times.
     """
-    _require_truncation(params, layout)
+    comp = _computational_indices(layout)
     evals, vecs = eigh_hermitian(build_hamiltonian(params, layout).entries)
-    return evals, vecs[_computational_indices(layout), :]
+    return evals, vecs[comp, :]
 
 
 def _restrictions(
@@ -325,30 +314,27 @@ class SchmidtSpectrum(NamedTuple):
     entropy_bits: float
 
 
-def schmidt(state: StateVector, cut: int) -> SchmidtSpectrum:
-    """Schmidt spectrum of a normalized pure state across modes [0, cut).
+def schmidt(amplitudes: np.ndarray, cut: int) -> SchmidtSpectrum:
+    """Schmidt spectrum of a normalized n-qubit pure state across qubits [0, cut).
 
-    Singular values come back descending; the entropy is
+    amplitudes has length 2^n in the register order |j1 ... jn>, j1 most
+    significant.  Singular values come back descending; the entropy is
     -sum sigma^2 log2 sigma^2 in bits.
     """
-    modes = state.layout.mode_count
-    if not 1 <= cut < modes:
-        raise ValueError(f"cut must satisfy 1 <= cut < {modes}, got {cut}")
-    nrm = float(np.linalg.norm(state.amplitudes))
+    amp = np.asarray(amplitudes, dtype=complex)
+    n_qubits = amp.size.bit_length() - 1
+    if amp.ndim != 1 or amp.size != 2**n_qubits:
+        raise ValueError(f"expected a vector of 2^n amplitudes, got shape {amp.shape}")
+    if not 1 <= cut < n_qubits:
+        raise ValueError(f"cut must satisfy 1 <= cut < {n_qubits}, got {cut}")
+    nrm = float(np.linalg.norm(amp))
     if abs(nrm - 1.0) > 1e-9:
         raise NotNormalized(f"state norm {nrm:.12g} is not 1")
-    d = state.layout.cutoff
-    matrix = state.amplitudes.reshape(d**cut, d ** (modes - cut))
-    svals = np.linalg.svd(matrix, compute_uv=False)
+    svals = np.linalg.svd(amp.reshape(2**cut, -1), compute_uv=False)
     probs = svals**2
     positive = probs[probs > 0.0]
     entropy = float(-np.sum(positive * np.log2(positive)))
     return SchmidtSpectrum(singular_values=svals, entropy_bits=entropy)
-
-
-def qubit_register_layout(n_qubits: int) -> ModeLayout:
-    """Layout viewing an n-qubit register as n modes truncated at one quantum."""
-    return ModeLayout(mode_count=n_qubits, cutoff=2)
 
 
 def random_product_state(

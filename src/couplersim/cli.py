@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, coupler, gates
-from .analysis import gate_time, qubit_register_layout, random_product_state, schmidt
-from .fock import ModeLayout, StateVector
+from .analysis import gate_time, random_product_state, schmidt
+from .engine import is_unitary
 
 SCHEMA_VERSION = 1
 
@@ -73,8 +73,8 @@ def _couplings_from_args(args) -> tuple[float, ...]:
 
 
 def _default_w(couplings: tuple[float, ...], n_outer: int, k: int) -> float:
-    # Lowest free phase compatible with the gate time 2 pi k / (g sqrt(N)).
-    return couplings[0] * math.sqrt(n_outer) / (2.0 * k)
+    # Lowest free phase compatible with the gate time 2 pi k / (|g| sqrt(N)).
+    return abs(couplings[0]) * math.sqrt(n_outer) / (2.0 * k)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -119,7 +119,7 @@ def cmd_verify(args) -> int:
     if args.format != "json":
         raise ValueError("verify reports are json only")
     report = coupler.verify_factorization(params, layout, t, tol=args.tol)
-    algebra = coupler.algebra_check(params, layout, t)
+    algebra_residual = coupler.algebra_check(params, layout)
     results = {
         "factorization": {
             "block_distances": [[k, d] for k, d in report.block_distances],
@@ -127,10 +127,7 @@ def cmd_verify(args) -> int:
             "sqrt_gamma": report.sqrt_gamma,
             "singularity_margin": report.singularity_margin,
         },
-        "algebra": {
-            "residual": algebra.residual,
-            "sign_convention": algebra.sign_convention,
-        },
+        "algebra": {"residual": algebra_residual},
     }
     passed = report.max_block_distance <= args.tol
     _emit(_json_report(config.as_dict(), results, report.max_block_distance, passed), args.out)
@@ -170,10 +167,9 @@ def cmd_truth_table(args) -> int:
 
 def _schmidt_extrema(gate: gates.QubitGate, samples: int, rng) -> tuple[float, float]:
     """(largest second coefficient, smallest second coefficient) over inputs."""
-    layout = qubit_register_layout(gate.qubit_count)
     second_max, second_min = 0.0, 1.0
     for _ in range(samples):
-        state = StateVector(gate.apply(random_product_state(rng, gate.qubit_count)), layout)
+        state = gate.apply(random_product_state(rng, gate.qubit_count))
         for cut in range(1, gate.qubit_count):
             svals = schmidt(state, cut).singular_values
             second_max = max(second_max, float(svals[1]))
@@ -216,7 +212,7 @@ def cmd_gates(args) -> int:
     checks = {
         "decomposition_distance": decomp_dist,
         "parity_self_test": True,  # relative_phase_3() raises if it fails
-        "all_unitary": all(g.is_unitary() for g in family),
+        "all_unitary": all(is_unitary(g.matrix, 1e-12) for g in family),
         "relative_2_second_coefficient_max": rel2_second,
         "relative_3_second_coefficient_max": rel3_second,
         "control_c_second_coefficient_min": cz_second_min,
@@ -275,7 +271,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="coupling(s); one value is broadcast to all outer modes",
     )
     parser.add_argument("--w", type=float, default=None, help="mode angular frequency")
-    parser.add_argument("--nmax", type=int, default=None, help="per-mode truncation")
+    parser.add_argument(
+        "--nmax", type=int, default=None, help="highest excitation block K checked"
+    )
     parser.add_argument("--time", type=float, default=None, help="interaction time")
     parser.add_argument("--k", type=int, default=1, help="gate-time winding number")
     parser.add_argument("--format", choices=("json", "csv"), default="json")

@@ -17,10 +17,10 @@ with A+ = sum_j g_j a^dag b_j, A- = A+^dag, eps = -i t, and coefficients
 
     f = tan(sqrt(gamma)/2) / sqrt(gamma),   h = sin(sqrt(gamma)) / sqrt(gamma),
 
-where gamma = t^2 sum_j g_j^2.  The identity is exact on every excitation
-block that the truncation represents faithfully (K <= n_max); f diverges when
-sqrt(gamma) hits an odd multiple of pi, and evaluation is refused near those
-points rather than clamped.
+where gamma = t^2 sum_j g_j^2.  Every operator here conserves excitation, so
+it is built exactly on the blocks K = 0..n_max of the layout and the identity
+holds on each of them; f diverges when sqrt(gamma) hits an odd multiple of pi,
+and evaluation is refused near those points rather than clamped.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "CouplerParams",
     "FactorCoefficients",
     "FactorizationReport",
-    "AlgebraCheck",
     "singularity_margin",
     "build_hamiltonian",
     "exact_propagator",
@@ -108,7 +107,7 @@ class CouplerParams:
         return cls(n_outer=n_outer, w=w, couplings=(g,) * n_outer, n_max=n_max)
 
     def layout(self) -> ModeLayout:
-        return ModeLayout(mode_count=self.n_outer + 1, cutoff=self.n_max + 1)
+        return ModeLayout(mode_count=self.n_outer + 1, n_max=self.n_max)
 
     @property
     def coupling_norm(self) -> float:
@@ -127,20 +126,19 @@ def singularity_margin(sqrt_gamma: float) -> float:
 
 
 def _check_layout(params: CouplerParams, layout: ModeLayout) -> None:
-    if layout.mode_count != params.n_outer + 1 or layout.cutoff != params.n_max + 1:
+    if layout != params.layout():
         raise LayoutMismatch(
-            f"layout ({layout.mode_count} modes, cutoff {layout.cutoff}) does not "
+            f"layout ({layout.mode_count} modes, n_max {layout.n_max}) does not "
             f"match params (N={params.n_outer}, n_max={params.n_max})"
         )
 
 
 def _raising_part(params: CouplerParams, layout: ModeLayout) -> np.ndarray:
     """sum_j g_j a^dag b_j as a dense matrix."""
-    a_dag = fock.creation(layout, 0).entries
     out = np.zeros((layout.dim, layout.dim), dtype=complex)
     for j, g in enumerate(params.couplings, start=1):
         if g != 0.0:
-            out += g * (a_dag @ fock.annihilation(layout, j).entries)
+            out += g * fock.hopping(layout, 0, j).entries
     return out
 
 
@@ -210,9 +208,9 @@ def factorized_propagator(
 class FactorizationReport:
     """Per-block distances between the exact and disentangled propagators.
 
-    Only blocks with K <= n_max are reported; higher blocks see truncation
-    artifacts by construction.  Distances are plain Frobenius norms, with no
-    global-phase allowance: the identity asserts operator equality.
+    One entry per excitation block K = 0..n_max of the layout.  Distances are
+    plain Frobenius norms, with no global-phase allowance: the identity
+    asserts operator equality.
     """
 
     block_distances: tuple[tuple[int, float], ...]
@@ -234,8 +232,6 @@ def verify_factorization(
     fact = factorized_propagator(params, layout, t).entries
     distances = []
     for k, idx in fock.excitation_blocks(layout):
-        if k > layout.n_max:
-            continue
         sub = np.ix_(idx, idx)
         distances.append((k, float(np.linalg.norm(exact[sub] - fact[sub]))))
     sg = params.sqrt_gamma(t)
@@ -248,65 +244,46 @@ def verify_factorization(
     )
 
 
-class AlgebraCheck(NamedTuple):
-    """Worst commutator residual and the ladder sign convention that holds.
+def _su2_generators(
+    params: CouplerParams, layout: ModeLayout
+) -> tuple[np.ndarray, np.ndarray]:
+    """J+ = sum_j g_j a^dag b_j and J3 = (sum_j g_j^2 a^dag a - B^dag B)/2.
 
-    sign_convention "+" means [L3, L+] = +kappa L+ (and [L3, L-] = -kappa L-)
-    with kappa = eps^2 sum g_j^2; "-" is the overall opposite choice.
+    B^dag B = sum_ij g_i g_j b_i^dag b_j is the occupation of the outer-mode
+    combination the central mode couples to.
     """
-
-    residual: float
-    sign_convention: str
-
-
-def algebra_check(params: CouplerParams, layout: ModeLayout, t: float) -> AlgebraCheck:
-    """Residuals of the angular-momentum-type relations among the generators.
-
-    L+ = eps sum_j g_j a^dag b_j, L- carries the transposed mode structure
-    with the same eps, and L3 = (eps^2/2)(sum g_j^2 a^dag a -
-    sum_ij g_i g_j b_i^dag b_j).  Checks [L+, L-] = 2 L3 plus the L3 ladder
-    relations under both sign conventions, restricted to blocks K <= n_max - 1
-    so commutator products stay representable, and reports the convention with
-    the smaller residual.
-    """
-    _check_layout(params, layout)
-    if t == 0.0:
-        raise ValueError("algebra check needs t != 0")
-    eps = -1j * t
-    raising = _raising_part(params, layout)
-    l_plus = eps * raising
-    l_minus = eps * raising.conj().T
     gs = params.couplings
-    g_sq = sum(g * g for g in gs)
-    n_central = fock.number_operator(layout, 0).entries
     cross = np.zeros((layout.dim, layout.dim), dtype=complex)
     for i, gi in enumerate(gs, start=1):
-        b_i_dag = fock.creation(layout, i).entries
         for j, gj in enumerate(gs, start=1):
             if gi * gj != 0.0:
-                cross += gi * gj * (b_i_dag @ fock.annihilation(layout, j).entries)
-    l3 = 0.5 * eps**2 * (g_sq * n_central - cross)
-    kappa = eps**2 * g_sq
+                cross += gi * gj * fock.hopping(layout, i, j).entries
+    g_sq = sum(g * g for g in gs)
+    j3 = 0.5 * (g_sq * fock.number_operator(layout, 0).entries - cross)
+    return _raising_part(params, layout), j3
+
+
+def algebra_check(params: CouplerParams, layout: ModeLayout) -> float:
+    """Worst residual of the su(2)-type relations among the interaction generators.
+
+    With J- = J+^dag and kappa = sum_j g_j^2 the relations are [J+, J-] = 2 J3
+    and [J3, J+-] = +-kappa J+-.  They are the relations of the paper's scaled
+    generators L+- = eps J+-, L3 = eps^2 J3 with the powers of eps = -i t
+    divided out, so the residual carries no t-dependent scale and the sign is
+    fixed.  Returns the largest Frobenius norm of the three residuals; each
+    residual is block diagonal, so the norm covers every block K = 0..n_max.
+    """
+    _check_layout(params, layout)
+    j_plus, j3 = _su2_generators(params, layout)
+    j_minus = j_plus.conj().T
+    kappa = sum(g * g for g in params.couplings)
 
     def comm(x, y):
         return x @ y - y @ x
 
-    shared = comm(l_plus, l_minus) - 2.0 * l3
-    plus_side = (comm(l3, l_plus) - kappa * l_plus, comm(l3, l_minus) + kappa * l_minus)
-    minus_side = (comm(l3, l_plus) + kappa * l_plus, comm(l3, l_minus) - kappa * l_minus)
-
-    def block_norm(mat) -> float:
-        worst = 0.0
-        for k, idx in fock.excitation_blocks(layout):
-            if k > layout.n_max - 1:
-                continue
-            sub = np.ix_(idx, idx)
-            worst = max(worst, float(np.linalg.norm(mat[sub])))
-        return worst
-
-    base = block_norm(shared)
-    resid_plus = max(base, *(block_norm(m) for m in plus_side))
-    resid_minus = max(base, *(block_norm(m) for m in minus_side))
-    if resid_plus <= resid_minus:
-        return AlgebraCheck(residual=resid_plus, sign_convention="+")
-    return AlgebraCheck(residual=resid_minus, sign_convention="-")
+    residuals = (
+        comm(j_plus, j_minus) - 2.0 * j3,
+        comm(j3, j_plus) - kappa * j_plus,
+        comm(j3, j_minus) + kappa * j_minus,
+    )
+    return max(float(np.linalg.norm(r)) for r in residuals)

@@ -1,15 +1,17 @@
-"""Truncated multimode Fock space: indexing, ladder operators, dense arithmetic.
+"""Excitation-bounded multimode Fock space: indexing, hopping operators, blocks.
 
-Mode 0 is the central waveguide mode and occupies the most significant tensor
-slot; the outer modes follow in order.  With a per-mode cutoff of ``d`` levels,
-the flat index of the occupation tuple ``(n_0, ..., n_{M-1})`` is
-``sum(n_k * d**(M-1-k))``.  Ladder operators keep only in-range matrix
-elements; anything that would push a mode above ``n_max`` is dropped, so
-verifications must stay inside excitation blocks with ``K <= n_max``.
+Every operator the coupler forms is a sum of hopping terms a_i^dag a_j, which
+conserve the total excitation K = n_0 + ... + n_{M-1}.  The basis is therefore
+the set of occupation tuples with K <= n_max, ordered by K and, inside one K,
+lexicographically.  Every hopping operator maps this space into itself, so
+its matrix, and every sum and product of such matrices, is exact: no matrix
+element is dropped.  Mode 0 is the central waveguide mode; the outer modes
+follow in order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,23 +24,12 @@ __all__ = [
     "ModeOutOfRange",
     "LayoutMismatch",
     "ModeLayout",
-    "StateVector",
     "DenseOperator",
-    "basis_state",
-    "annihilation",
-    "creation",
+    "hopping",
     "number_operator",
     "total_number",
-    "identity",
     "excitation_blocks",
-    "apply",
-    "adjoint",
-    "matmul",
-    "inner_product",
-    "norm",
 ]
-
-CENTRAL_MAJOR = "central-major"
 
 
 class FockError(ValueError):
@@ -46,11 +37,11 @@ class FockError(ValueError):
 
 
 class OccupationOutOfRange(FockError):
-    """An occupation number is negative or exceeds the per-mode cutoff."""
+    """An occupation tuple has a negative entry or a total above n_max."""
 
 
 class LengthMismatch(FockError):
-    """A vector or occupation list does not match the layout dimension."""
+    """A matrix or occupation list does not match the layout dimension."""
 
 
 class ModeOutOfRange(FockError):
@@ -63,102 +54,70 @@ class LayoutMismatch(FockError):
 
 @dataclass(frozen=True)
 class ModeLayout:
-    """Shape of the truncated space: ``mode_count`` modes, ``cutoff`` levels each.
-
-    ``ordering`` is a convention tag; only ``"central-major"`` is defined,
-    meaning mode 0 is the most significant tensor factor.
-    """
+    """``mode_count`` modes holding at most ``n_max`` excitations in total."""
 
     mode_count: int
-    cutoff: int
-    ordering: str = CENTRAL_MAJOR
+    n_max: int
 
     def __post_init__(self) -> None:
         if self.mode_count < 2:
             raise FockError(f"need at least two modes, got {self.mode_count}")
-        if self.cutoff < 2:
-            raise FockError(f"need at least two levels per mode, got {self.cutoff}")
-        if self.ordering != CENTRAL_MAJOR:
-            raise FockError(f"unknown ordering convention {self.ordering!r}")
-
-    @property
-    def n_max(self) -> int:
-        return self.cutoff - 1
+        if self.n_max < 1:
+            raise FockError(f"need n_max >= 1, got {self.n_max}")
 
     @property
     def dim(self) -> int:
-        return self.cutoff ** self.mode_count
+        """Number of basis states, C(n_max + mode_count, mode_count)."""
+        return math.comb(self.n_max + self.mode_count, self.mode_count)
 
     def flat_index(self, occupations) -> int:
-        """Flat basis index of an occupation tuple."""
-        occ = self.check_occupations(occupations)
-        idx = 0
-        for n in occ:
-            idx = idx * self.cutoff + n
-        return idx
-
-    def occupations(self, index: int) -> tuple[int, ...]:
-        """Occupation tuple of a flat basis index."""
-        if not 0 <= index < self.dim:
-            raise FockError(f"index {index} outside 0..{self.dim - 1}")
-        out = []
-        for _ in range(self.mode_count):
-            index, n = divmod(index, self.cutoff)
-            out.append(n)
-        return tuple(reversed(out))
-
-    def occupation_table(self) -> np.ndarray:
-        """(dim, mode_count) integer array; row i holds the occupations of index i."""
-        return _occupation_table(self.mode_count, self.cutoff)
-
-    def check_occupations(self, occupations) -> tuple[int, ...]:
+        """Basis index of an occupation tuple."""
         occ = tuple(int(n) for n in occupations)
         if len(occ) != self.mode_count:
             raise LengthMismatch(
                 f"expected {self.mode_count} occupations, got {len(occ)}"
             )
-        bad = [n for n in occ if n < 0 or n > self.n_max]
-        if bad:
+        try:
+            return _basis(self.mode_count, self.n_max)[1][occ]
+        except KeyError:
             raise OccupationOutOfRange(
-                f"occupations {occ} violate 0 <= n <= {self.n_max}"
-            )
-        return occ
+                f"occupations {occ} are outside the basis: need every n >= 0 "
+                f"and a total <= n_max = {self.n_max}"
+            ) from None
+
+    def occupations(self, index: int) -> tuple[int, ...]:
+        """Occupation tuple of a basis index."""
+        if not 0 <= index < self.dim:
+            raise FockError(f"index {index} outside 0..{self.dim - 1}")
+        return tuple(int(n) for n in self.occupation_table()[index])
+
+    def occupation_table(self) -> np.ndarray:
+        """(dim, mode_count) integer array; row i holds the occupations of index i."""
+        return _basis(self.mode_count, self.n_max)[0]
+
+
+def _compositions(total: int, parts: int):
+    """Tuples of ``parts`` non-negative integers summing to ``total``, ascending."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
 
 
 @lru_cache(maxsize=None)
-def _occupation_table(mode_count: int, cutoff: int) -> np.ndarray:
-    idx = np.arange(cutoff**mode_count)
-    cols = []
-    for _ in range(mode_count):
-        cols.append(idx % cutoff)
-        idx = idx // cutoff
-    table = np.stack(cols[::-1], axis=1)
+def _basis(mode_count: int, n_max: int) -> tuple[np.ndarray, dict]:
+    """Occupation table and its inverse lookup {occupations: index}."""
+    rows = [occ for k in range(n_max + 1) for occ in _compositions(k, mode_count)]
+    table = np.array(rows, dtype=np.int64)
     table.setflags(write=False)
-    return table
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Complex amplitude vector over the truncated multimode basis.
-
-    Treated as immutable; operations return fresh vectors.
-    """
-
-    amplitudes: np.ndarray
-    layout: ModeLayout
-
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.layout.dim,):
-            raise LengthMismatch(
-                f"amplitude vector of shape {amp.shape} does not match dimension {self.layout.dim}"
-            )
-        object.__setattr__(self, "amplitudes", amp)
+    return table, {occ: i for i, occ in enumerate(rows)}
 
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """Dense complex matrix acting on the truncated multimode basis."""
+    """Dense complex matrix acting on the excitation-bounded basis."""
 
     entries: np.ndarray
     layout: ModeLayout
@@ -172,38 +131,29 @@ class DenseOperator:
         object.__setattr__(self, "entries", mat)
 
 
-def basis_state(layout: ModeLayout, occupations) -> StateVector:
-    """Unit vector with amplitude 1 on the given occupation tuple."""
-    amp = np.zeros(layout.dim, dtype=complex)
-    amp[layout.flat_index(occupations)] = 1.0
-    return StateVector(amp, layout)
-
-
 def _check_mode(layout: ModeLayout, mode: int) -> None:
     if not 0 <= mode < layout.mode_count:
         raise ModeOutOfRange(f"mode {mode} outside 0..{layout.mode_count - 1}")
 
 
-def annihilation(layout: ModeLayout, mode: int) -> DenseOperator:
-    """Annihilation operator of one mode, identity on the others.
+def hopping(layout: ModeLayout, i: int, j: int) -> DenseOperator:
+    """a_i^dag a_j: moves one quantum from mode j to mode i.
 
-    Acts as a|n> = sqrt(n) |n-1> on the selected tensor factor; the matrix
-    element that would raise an occupation above n_max does not exist in the
-    truncated space and is silently dropped on the adjoint side.
+    The element from |n> to |n - e_j + e_i> is sqrt((n_i + 1) n_j) with n_i
+    read after the quantum has left mode j, so hopping(i, i) is n_i.
     """
-    _check_mode(layout, mode)
-    d = layout.cutoff
-    single = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        single[n - 1, n] = np.sqrt(n)
-    left = np.eye(d**mode)
-    right = np.eye(d ** (layout.mode_count - 1 - mode))
-    return DenseOperator(np.kron(np.kron(left, single), right), layout)
-
-
-def creation(layout: ModeLayout, mode: int) -> DenseOperator:
-    """Adjoint of :func:`annihilation` for the same mode."""
-    return adjoint(annihilation(layout, mode))
+    _check_mode(layout, i)
+    _check_mode(layout, j)
+    table, index = _basis(layout.mode_count, layout.n_max)
+    src = np.flatnonzero(table[:, j] > 0)
+    moved = table[src].copy()
+    moved[:, j] -= 1
+    values = np.sqrt((moved[:, i] + 1) * table[src, j])
+    moved[:, i] += 1
+    dst = [index[tuple(occ)] for occ in moved.tolist()]
+    mat = np.zeros((layout.dim, layout.dim), dtype=complex)
+    mat[dst, src] = values
+    return DenseOperator(mat, layout)
 
 
 def number_operator(layout: ModeLayout, mode: int) -> DenseOperator:
@@ -219,50 +169,11 @@ def total_number(layout: ModeLayout) -> DenseOperator:
     return DenseOperator(np.diag(total.astype(complex)), layout)
 
 
-def identity(layout: ModeLayout) -> DenseOperator:
-    return DenseOperator(np.eye(layout.dim, dtype=complex), layout)
-
-
 def excitation_blocks(layout: ModeLayout) -> list[tuple[int, np.ndarray]]:
-    """Partition of the flat indices by total occupation K, ascending in K.
+    """Index ranges of the blocks K = 0..n_max, ascending in K.
 
-    Index arrays are sorted ascending; the union of all blocks is the whole
-    basis.  Every operator built from products a_i^dag a_j is block diagonal
-    with respect to this partition.
+    Every operator built from hopping terms is block diagonal with respect to
+    this partition.
     """
     totals = layout.occupation_table().sum(axis=1)
-    blocks = []
-    for k in range(layout.mode_count * layout.n_max + 1):
-        idx = np.flatnonzero(totals == k)
-        if idx.size:
-            blocks.append((k, idx))
-    return blocks
-
-
-def _check_same_layout(a, b) -> None:
-    if a.layout != b.layout:
-        raise LayoutMismatch("operands live on different mode layouts")
-
-
-def apply(op: DenseOperator, state: StateVector) -> StateVector:
-    _check_same_layout(op, state)
-    return StateVector(op.entries @ state.amplitudes, op.layout)
-
-
-def adjoint(op: DenseOperator) -> DenseOperator:
-    return DenseOperator(op.entries.conj().T, op.layout)
-
-
-def matmul(a: DenseOperator, b: DenseOperator) -> DenseOperator:
-    _check_same_layout(a, b)
-    return DenseOperator(a.entries @ b.entries, a.layout)
-
-
-def inner_product(x: StateVector, y: StateVector) -> complex:
-    """<x|y> with the conjugation on the first argument."""
-    _check_same_layout(x, y)
-    return complex(np.vdot(x.amplitudes, y.amplitudes))
-
-
-def norm(x: StateVector) -> float:
-    return float(np.linalg.norm(x.amplitudes))
+    return [(k, np.flatnonzero(totals == k)) for k in range(layout.n_max + 1)]

@@ -1,8 +1,8 @@
 """Conditional phase gates on small qubit registers.
 
-Basis order is |j1 j2 ... jn> with j1 most significant, matching the Fock
-layout of the coupler (j1 is the central mode).  Everything in the family is
-diagonal in the computational basis except SWAP.
+Basis order is |j1 j2 ... jn> with j1 most significant, the order in which
+the coupler's computational inputs are listed (j1 is the central mode).
+Everything in the family is diagonal in the computational basis except SWAP.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ class QubitGate:
     @property
     def dim(self) -> int:
         return 2**self.qubit_count
-
-    def is_unitary(self, tol: float = 1e-12) -> bool:
-        gram = self.matrix.conj().T @ self.matrix
-        return float(np.linalg.norm(gram - np.eye(self.dim))) <= tol
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(amplitudes, dtype=complex)

@@ -8,19 +8,17 @@ from couplersim import analysis, coupler
 from couplersim.analysis import (
     FreePhaseMismatch,
     NotNormalized,
-    TruncationTooSmall,
     UnequalCouplings,
     extract_gate,
     family_gates,
     gate_time,
-    qubit_register_layout,
     random_product_state,
     scan_times,
     schmidt,
     truth_table,
 )
 from couplersim.coupler import CouplerParams, exact_propagator
-from couplersim.fock import StateVector, total_number
+from couplersim.fock import OccupationOutOfRange, total_number
 from couplersim.gates import control_c_phase, relative_phase_2, relative_phase_3
 
 
@@ -52,6 +50,11 @@ class TestGateTime:
             2.0 * math.pi * spec.k, abs=1e-12
         )
         assert params.w * spec.t == pytest.approx((2 * spec.m + 1) * math.pi, abs=1e-12)
+
+    def test_negative_coupling_gives_forward_time(self):
+        spec = gate_time(equal_params(1, -1.0, 0.5, 2), k=1)
+        assert spec.t == pytest.approx(2.0 * math.pi, abs=1e-12)
+        assert spec.c_effective == pytest.approx(1.0, abs=1e-12)
 
     def test_free_phase_mismatch(self):
         with pytest.raises(FreePhaseMismatch):
@@ -98,9 +101,12 @@ class TestTruthTable:
             assert row.phase == pytest.approx(1.0, abs=1e-12)
 
     def test_truncation_guard(self):
+        # n_max = 1 holds no state with both modes excited
         params = equal_params(1, 1.0, 0.5, 1)
-        with pytest.raises(TruncationTooSmall):
+        with pytest.raises(OccupationOutOfRange):
             truth_table(params, params.layout(), 1.0)
+        with pytest.raises(OccupationOutOfRange):
+            scan_times(params, params.layout(), 0.1, 13.0, 100, tol=0.05)
 
     def test_serialization(self):
         params = equal_params(1, 1.0, 0.5, 2)
@@ -270,50 +276,49 @@ class TestScanOracle:
 class TestSchmidt:
     def test_control_c_on_plus_plus(self):
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        state = StateVector(
-            control_c_phase().apply(np.kron(plus, plus)), qubit_register_layout(2)
-        )
+        state = control_c_phase().apply(np.kron(plus, plus))
         svals, entropy = schmidt(state, 1)
         assert_allclose(svals, [1.0 / math.sqrt(2.0)] * 2, atol=1e-12)
         assert entropy == pytest.approx(1.0, abs=1e-12)
 
     def test_relative_gate_output_stays_product(self, rng):
-        layout = qubit_register_layout(2)
         gate = relative_phase_2(math.pi)
         for _ in range(20):
             out = gate.apply(random_product_state(rng, 2))
-            svals, entropy = schmidt(StateVector(out, layout), 1)
+            svals, entropy = schmidt(out, 1)
             assert svals[1] <= 1e-12
             assert entropy <= 1e-10
 
     def test_basis_product_state(self):
-        layout = qubit_register_layout(2)
-        state = StateVector(np.array([0, 1, 0, 0], dtype=complex), layout)
+        state = np.array([0, 1, 0, 0], dtype=complex)
         svals, entropy = schmidt(state, 1)
         assert_allclose(svals, [1.0, 0.0], atol=1e-15)
         assert entropy == pytest.approx(0.0, abs=1e-15)
 
     def test_not_normalized(self):
-        layout = qubit_register_layout(2)
         with pytest.raises(NotNormalized):
-            schmidt(StateVector(np.array([1.0, 1.0, 0, 0]), layout), 1)
+            schmidt(np.array([1.0, 1.0, 0, 0]), 1)
 
     def test_cut_validation(self):
-        layout = qubit_register_layout(2)
-        state = StateVector(np.array([1.0, 0, 0, 0]), layout)
+        state = np.array([1.0, 0, 0, 0])
         with pytest.raises(ValueError):
             schmidt(state, 0)
         with pytest.raises(ValueError):
             schmidt(state, 2)
+        for not_a_register in (np.ones(3) / math.sqrt(3.0), np.eye(2) / math.sqrt(2.0)):
+            with pytest.raises(ValueError):
+                schmidt(not_a_register, 1)
 
     def test_works_on_fock_states_too(self):
-        # Schmidt across the central/outer cut of a coupler state
+        # Schmidt across the central/outer cut of a coupler state; one quantum
+        # stays in the occupation-0/1 states, read out in register order
         params = equal_params(1, 1.0, 0.5, 2)
         layout = params.layout()
         u = exact_propagator(params, layout, 0.4).entries
-        psi = np.zeros(layout.dim, dtype=complex)
-        psi[layout.flat_index((1, 0))] = 1.0
-        svals, _ = schmidt(StateVector(u @ psi, layout), 1)
+        psi = u[:, layout.flat_index((1, 0))]
+        register = psi[[layout.flat_index(bits) for bits in np.ndindex(2, 2)]]
+        assert np.linalg.norm(register) == pytest.approx(1.0, abs=1e-12)
+        svals, _ = schmidt(register, 1)
         # Rabi transfer entangles the two modes at a generic time
         assert svals[1] > 0.1
 
@@ -331,9 +336,8 @@ def test_random_product_state_respects_floor(rng):
     for _ in range(25):
         psi = random_product_state(rng, 3, 0.2)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-        state = StateVector(psi, qubit_register_layout(3))
         for cut in (1, 2):
-            assert schmidt(state, cut).singular_values[1] <= 1e-12
+            assert schmidt(psi, cut).singular_values[1] <= 1e-12
         # marginal probabilities of a product state are the factor magnitudes squared
         cube = np.abs(psi.reshape(2, 2, 2)) ** 2
         for axis in range(3):

@@ -30,6 +30,16 @@ class TestVerify:
         assert out == ""
         assert "odd" in err and "pi" in err
 
+    def test_zero_time_passes(self, capsys):
+        code, out, err = run(capsys, "verify", "--time", "0")
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        blocks = report["results"]["factorization"]["block_distances"]
+        assert [k for k, _ in blocks] == [0, 1, 2, 3]
+        assert report["results"]["algebra"]["residual"] <= 1e-12
+        assert err == ""
+
     def test_zero_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--tol", "0")
         assert code == 1
@@ -80,6 +90,20 @@ class TestTruthTable:
         assert code == 2
         assert out == ""
         assert "odd multiple" in err
+
+    def test_negative_coupling_evolves_forward(self, capsys):
+        code, out, _ = run(capsys, "truth-table", "--g", "-1")
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"]["t"] == pytest.approx(2.0 * math.pi, abs=1e-12)
+        assert report["config"]["w"] == pytest.approx(0.5, abs=1e-15)
+        assert report["passed"] is True
+
+    def test_nmax_below_mode_count_is_config_error(self, capsys):
+        code, out, err = run(capsys, "truth-table", "--nmax", "1")
+        assert code == 2
+        assert out == ""
+        assert "outside the basis" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "truth-table", "--format", "csv")

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from couplersim import fock
+from couplersim import coupler, fock
 from couplersim.coupler import (
     CouplerParams,
+    _raising_part,
+    _su2_generators,
     NearSingularity,
     algebra_check,
     build_hamiltonian,
@@ -17,7 +19,7 @@ from couplersim.coupler import (
     verify_factorization,
 )
 from couplersim.engine import expm_general, is_unitary, phase_distance
-from couplersim.fock import LayoutMismatch, basis_state
+from couplersim.fock import LayoutMismatch
 
 
 def params_and_layout(n_outer, g, w, n_max):
@@ -52,7 +54,7 @@ class TestHamiltonian:
     def test_interaction_only_n1(self):
         params, layout = params_and_layout(1, 1.0, 0.0, 1)
         h = build_hamiltonian(params, layout).entries
-        expected = np.zeros((4, 4))
+        expected = np.zeros((3, 3))
         expected[1, 2] = expected[2, 1] = 1.0
         assert_allclose(h, expected, atol=1e-15)
 
@@ -60,7 +62,7 @@ class TestHamiltonian:
         # a fully decoupled configuration is rejected, so use a negligible g
         params = CouplerParams(n_outer=1, w=1.0, couplings=(1e-30,), n_max=1)
         h = build_hamiltonian(params, params.layout()).entries
-        assert_allclose(h, np.diag([0, 1, 1, 2]).astype(complex), atol=1e-25)
+        assert_allclose(h, np.diag([0, 1, 1]).astype(complex), atol=1e-25)
 
     def test_single_excitation_spectrum_n2(self):
         g, w = 0.7, 1.1
@@ -92,7 +94,9 @@ class TestHamiltonian:
     def test_layout_mismatch(self):
         params, _ = params_and_layout(1, 1.0, 0.5, 2)
         with pytest.raises(LayoutMismatch):
-            build_hamiltonian(params, fock.ModeLayout(3, 3))
+            build_hamiltonian(params, fock.ModeLayout(3, 2))
+        with pytest.raises(LayoutMismatch):
+            build_hamiltonian(params, fock.ModeLayout(2, 3))
 
 
 class TestExactPropagator:
@@ -106,9 +110,9 @@ class TestExactPropagator:
         # at t = 2 pi with w = 1/2 the odd-weight inputs flip sign
         params, layout = params_and_layout(1, 1.0, 0.5, 3)
         u = exact_propagator(params, layout, 2.0 * math.pi).entries
-        one_zero = basis_state(layout, (1, 0)).amplitudes
+        one_zero = np.eye(layout.dim)[layout.flat_index((1, 0))]
         assert_allclose(u @ one_zero, -one_zero, atol=1e-12)
-        one_one = basis_state(layout, (1, 1)).amplitudes
+        one_one = np.eye(layout.dim)[layout.flat_index((1, 1))]
         assert_allclose(u @ one_one, one_one, atol=1e-12)
 
     def test_unitary(self):
@@ -220,16 +224,14 @@ class TestVerifyFactorization:
         assert report.max_block_distance <= 1e-8
 
     def test_interaction_periodicity(self):
-        # sqrt(N) g t in 2 pi Z restores the free evolution on safe blocks
+        # sqrt(N) g t in 2 pi Z restores the free evolution on every block
         params, layout = params_and_layout(2, 0.8, 0.55, 3)
         t = 2.0 * math.pi / (0.8 * math.sqrt(2.0))
         u = exact_propagator(params, layout, t).entries
         free = np.diag(
             np.exp(-1j * params.w * t * layout.occupation_table().sum(axis=1))
         )
-        for k, idx in fock.excitation_blocks(layout):
-            if k > layout.n_max:
-                continue
+        for _, idx in fock.excitation_blocks(layout):
             sub = np.ix_(idx, idx)
             assert phase_distance(u[sub], free[sub]).distance <= 1e-9
 
@@ -252,33 +254,100 @@ class TestVerifyFactorization:
 class TestAlgebraCheck:
     def test_equal_couplings(self):
         params, layout = params_and_layout(1, 1.0, 0.5, 4)
-        result = algebra_check(params, layout, 1.0)
-        assert result.residual <= 1e-12
-        assert result.sign_convention == "+"
+        assert algebra_check(params, layout) <= 1e-12
 
     def test_unequal_couplings(self):
         params = CouplerParams(n_outer=2, w=0.5, couplings=(0.3, 0.9), n_max=3)
-        result = algebra_check(params, layout=params.layout(), t=1.0)
-        assert result.residual <= 1e-12
+        assert algebra_check(params, layout=params.layout()) <= 1e-12
 
     @pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
     def test_residual_scales_with_t(self, t):
-        params, layout = params_and_layout(1, 1.0, 0.5, 3)
-        result = algebra_check(params, layout, t)
-        # relative to the t^3 growth of the triple products
-        scale = max(1.0, abs(t) ** 3)
-        assert result.residual / scale <= 1e-12
+        # The paper's scaled generators L+- = eps J+-, L3 = eps^2 J3 obey
+        # [L+, L-] = 2 L3 and [L3, L+-] = +-kappa L+- with kappa = eps^2 sum g^2;
+        # their residuals grow like the t^3 of the triple products.
+        params = CouplerParams(n_outer=2, w=0.5, couplings=(0.3, -0.9), n_max=3)
+        layout = params.layout()
+        eps = -1j * t
+        j_plus, j3 = _su2_generators(params, layout)
+        l_plus, l_minus, l3 = eps * j_plus, eps * j_plus.conj().T, eps**2 * j3
+        kappa = eps**2 * sum(g * g for g in params.couplings)
 
-    def test_rejects_zero_time(self):
-        params, layout = params_and_layout(1, 1.0, 0.5, 2)
-        with pytest.raises(ValueError):
-            algebra_check(params, layout, 0.0)
+        def comm(x, y):
+            return x @ y - y @ x
+
+        residual = max(
+            np.linalg.norm(comm(l_plus, l_minus) - 2.0 * l3),
+            np.linalg.norm(comm(l3, l_plus) - kappa * l_plus),
+            np.linalg.norm(comm(l3, l_minus) + kappa * l_minus),
+        )
+        assert residual / max(1.0, t**3) <= 1e-12
+
+    def test_wrong_sign_fails(self, monkeypatch):
+        # J3 with the opposite sign breaks every relation by O(1), so the
+        # check can fail on the sign.
+        params = CouplerParams(n_outer=2, w=0.5, couplings=(0.3, 0.9), n_max=3)
+        right = coupler._su2_generators
+
+        def flipped(p, layout):
+            j_plus, j3 = right(p, layout)
+            return j_plus, -j3
+
+        monkeypatch.setattr(coupler, "_su2_generators", flipped)
+        assert algebra_check(params, params.layout()) >= 1.0
+
+    def test_layout_mismatch(self):
+        params, _ = params_and_layout(1, 1.0, 0.5, 2)
+        with pytest.raises(LayoutMismatch):
+            algebra_check(params, fock.ModeLayout(2, 3))
 
 
 def test_factorized_interaction_factor_is_block_diagonal():
     params, layout = params_and_layout(2, 0.7, 1.0, 2)
-    from couplersim.coupler import _raising_part
 
     factor = expm_general(-1j * 0.9 * 0.5 * _raising_part(params, layout))
     totals = layout.occupation_table().sum(axis=1)
     assert np.abs(factor[totals[:, None] != totals[None, :]]).max() == 0.0
+
+
+def tensor_product_hamiltonian(params):
+    """H on the truncated tensor product of n_max + 1 levels per mode.
+
+    Built independently of the package with np.kron; mode 0 is the most
+    significant factor, so occupations n sit at index sum(n_k d^(M-1-k)).
+    """
+    d, modes = params.n_max + 1, params.n_outer + 1
+    single = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+
+    def lower(mode):
+        return np.kron(np.kron(np.eye(d**mode), single), np.eye(d ** (modes - 1 - mode)))
+
+    h = params.w * sum(lower(k).T @ lower(k) for k in range(modes))
+    for j, g in enumerate(params.couplings, start=1):
+        hop = lower(0).T @ lower(j)
+        h = h + g * (hop + hop.T)
+    return h
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        CouplerParams(n_outer=1, w=0.7, couplings=(-1.3,), n_max=3),
+        CouplerParams(n_outer=2, w=0.4, couplings=(0.3, -0.9), n_max=3),
+        CouplerParams(n_outer=3, w=1.1, couplings=(-0.2, 0.9, 0.5), n_max=2),
+    ],
+    ids=["n1", "n2", "n3"],
+)
+def test_hamiltonian_blocks_match_tensor_product(params):
+    layout = params.layout()
+    h = build_hamiltonian(params, layout).entries
+    oracle = tensor_product_hamiltonian(params)
+    d, modes = params.n_max + 1, layout.mode_count
+    weights = d ** np.arange(modes - 1, -1, -1)
+    table = layout.occupation_table()
+    tensor_totals = np.indices((d,) * modes).reshape(modes, -1).sum(axis=0)
+    for k, idx in fock.excitation_blocks(layout):
+        tensor_idx = table[idx] @ weights
+        # the tensor-product block K holds exactly the states of block K
+        assert sorted(tensor_idx) == list(np.flatnonzero(tensor_totals == k))
+        block = oracle[np.ix_(tensor_idx, tensor_idx)] - h[np.ix_(idx, idx)]
+        assert np.abs(block).max() <= 1e-15

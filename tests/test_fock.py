@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,121 +7,108 @@ from numpy.testing import assert_allclose
 from couplersim import fock
 from couplersim.fock import (
     DenseOperator,
-    LayoutMismatch,
     LengthMismatch,
     ModeLayout,
     ModeOutOfRange,
     OccupationOutOfRange,
-    StateVector,
-    adjoint,
-    annihilation,
-    apply,
-    basis_state,
-    creation,
     excitation_blocks,
-    inner_product,
-    matmul,
-    norm,
+    hopping,
     number_operator,
     total_number,
 )
 
-A_D3 = np.array([[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]], dtype=complex)
-
 
 def test_layout_validation():
     with pytest.raises(fock.FockError):
-        ModeLayout(mode_count=1, cutoff=2)
+        ModeLayout(mode_count=1, n_max=2)
     with pytest.raises(fock.FockError):
-        ModeLayout(mode_count=2, cutoff=1)
-    with pytest.raises(fock.FockError):
-        ModeLayout(mode_count=2, cutoff=2, ordering="outer-major")
+        ModeLayout(mode_count=2, n_max=0)
 
 
 @pytest.mark.parametrize(
-    "mode_count,cutoff,occupations,index",
+    "mode_count,n_max,occupations,index",
     [
         (2, 2, (0, 0), 0),
         (2, 2, (1, 0), 2),
-        (3, 2, (1, 0, 1), 5),
-        (2, 3, (2, 1), 7),
+        (3, 2, (0, 1, 1), 5),
+        (2, 3, (1, 2), 7),
     ],
 )
-def test_flat_index(mode_count, cutoff, occupations, index):
-    layout = ModeLayout(mode_count, cutoff)
+def test_flat_index(mode_count, n_max, occupations, index):
+    layout = ModeLayout(mode_count, n_max)
     assert layout.flat_index(occupations) == index
     assert layout.occupations(index) == occupations
-    state = basis_state(layout, occupations)
-    expected = np.zeros(layout.dim)
-    expected[index] = 1.0
-    assert_allclose(state.amplitudes, expected)
+
+
+@pytest.mark.parametrize("mode_count,n_max", [(2, 1), (3, 2), (5, 3), (11, 2)])
+def test_dimension_is_binomial(mode_count, n_max):
+    layout = ModeLayout(mode_count, n_max)
+    assert layout.dim == math.comb(n_max + mode_count, mode_count)
+    assert layout.occupation_table().shape == (layout.dim, mode_count)
 
 
 def test_basis_state_errors():
-    layout = ModeLayout(2, 2)
+    layout = ModeLayout(2, 1)
     with pytest.raises(OccupationOutOfRange):
-        basis_state(layout, (0, 2))
+        layout.flat_index((1, 1))
     with pytest.raises(OccupationOutOfRange):
-        basis_state(layout, (-1, 0))
+        layout.flat_index((-1, 0))
     with pytest.raises(LengthMismatch):
-        basis_state(layout, (0, 0, 0))
+        layout.flat_index((0, 0, 0))
+    with pytest.raises(fock.FockError):
+        layout.occupations(layout.dim)
 
 
 def test_basis_states_orthonormal():
-    layout = ModeLayout(2, 3)
-    states = [basis_state(layout, layout.occupations(i)) for i in range(layout.dim)]
-    gram = np.array([[inner_product(x, y) for y in states] for x in states])
-    assert_allclose(gram, np.eye(layout.dim), atol=1e-15)
+    layout = ModeLayout(3, 3)
+    index = [layout.flat_index(layout.occupations(i)) for i in range(layout.dim)]
+    states = np.eye(layout.dim)[index]
+    assert_allclose(states @ states.T, np.eye(layout.dim), atol=0)
+    # ordered by total excitation
+    assert np.all(np.diff(layout.occupation_table().sum(axis=1)) >= 0)
 
 
-def test_annihilation_single_mode_pattern():
-    layout = ModeLayout(2, 3)
-    assert_allclose(annihilation(layout, 0).entries, np.kron(A_D3, np.eye(3)))
-    assert_allclose(annihilation(layout, 1).entries, np.kron(np.eye(3), A_D3))
-
-
-def test_annihilation_action_and_truncation():
-    layout = ModeLayout(2, 2)
-    a0 = annihilation(layout, 0)
-    assert_allclose(
-        apply(a0, basis_state(layout, (1, 0))).amplitudes,
-        basis_state(layout, (0, 0)).amplitudes,
-    )
-    assert_allclose(apply(a0, basis_state(layout, (0, 1))).amplitudes, np.zeros(4))
-    # The matrix element that would raise past n_max is dropped.
-    a0_dag = creation(layout, 0)
-    assert_allclose(apply(a0_dag, basis_state(layout, (1, 1))).amplitudes, np.zeros(4))
-
-
-def test_creation_matrix_elements():
-    layout = ModeLayout(2, 4)
-    a_dag = creation(layout, 1).entries
+def test_hopping_matrix_elements():
+    layout = ModeLayout(3, 3)
     table = layout.occupation_table()
-    for i in range(layout.dim):
-        for j in range(layout.dim):
-            ni, nj = table[i], table[j]
-            if ni[0] == nj[0] and ni[1] == nj[1] + 1:
-                assert a_dag[i, j] == pytest.approx(np.sqrt(nj[1] + 1))
-            else:
-                assert a_dag[i, j] == 0.0
+    for i in range(3):
+        for j in range(3):
+            hop = hopping(layout, i, j).entries
+            for col, n in enumerate(table):
+                for row, m in enumerate(table):
+                    if i == j:
+                        expected = n[i] if row == col else 0.0
+                    else:
+                        moved = n.copy()
+                        moved[j] -= 1
+                        moved[i] += 1
+                        hit = n[j] > 0 and np.array_equal(m, moved)
+                        expected = math.sqrt((n[i] + 1) * n[j]) if hit else 0.0
+                    assert hop[row, col] == pytest.approx(expected, abs=1e-15)
 
 
-def test_commutator_is_identity_below_cutoff():
-    layout = ModeLayout(2, 4)
-    a = annihilation(layout, 0)
-    comm = matmul(a, creation(layout, 0)).entries - matmul(creation(layout, 0), a).entries
-    below = np.flatnonzero(layout.occupation_table()[:, 0] < layout.n_max)
-    sub = np.ix_(below, below)
-    assert np.linalg.norm(comm[sub] - np.eye(below.size)) <= 1e-12
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_hopping_diagonal_is_number_operator(mode):
+    layout = ModeLayout(3, 3)
+    assert_allclose(
+        hopping(layout, mode, mode).entries, number_operator(layout, mode).entries, atol=0
+    )
+
+
+def test_hopping_commutator_is_exact():
+    # [a_0^dag a_1, a_1^dag a_0] = n_0 - n_1 on every block, the top one included
+    layout = ModeLayout(2, 3)
+    up, down = hopping(layout, 0, 1).entries, hopping(layout, 1, 0).entries
+    diff = number_operator(layout, 0).entries - number_operator(layout, 1).entries
+    assert np.linalg.norm(up @ down - down @ up - diff) <= 1e-12
 
 
 def test_number_operators():
-    layout = ModeLayout(2, 3)
-    assert_allclose(
-        number_operator(layout, 0).entries, np.diag(np.repeat([0, 1, 2], 3)).astype(complex)
-    )
-    small = ModeLayout(2, 2)
-    assert_allclose(total_number(small).entries, np.diag([0, 1, 1, 2]).astype(complex))
+    layout = ModeLayout(2, 2)
+    # basis (0,0) | (0,1) (1,0) | (0,2) (1,1) (2,0)
+    assert_allclose(number_operator(layout, 0).entries, np.diag([0, 0, 1, 0, 1, 2]))
+    small = ModeLayout(2, 1)
+    assert_allclose(total_number(small).entries, np.diag([0, 1, 1]).astype(complex))
 
 
 def test_total_number_commutes_with_hopping():
@@ -127,23 +116,23 @@ def test_total_number_commutes_with_hopping():
     n_tot = total_number(layout).entries
     for i in range(layout.mode_count):
         for j in range(layout.mode_count):
-            hop = creation(layout, i).entries @ annihilation(layout, j).entries
+            hop = hopping(layout, i, j).entries
             assert np.linalg.norm(n_tot @ hop - hop @ n_tot) <= 1e-12
 
 
 def test_excitation_blocks_examples():
     layout = ModeLayout(2, 2)
     blocks = dict((k, list(idx)) for k, idx in excitation_blocks(layout))
-    assert blocks == {0: [0], 1: [1, 2], 2: [3]}
+    assert blocks == {0: [0], 1: [1, 2], 2: [3, 4, 5]}
     layout3 = ModeLayout(3, 2)
     blocks3 = dict((k, list(idx)) for k, idx in excitation_blocks(layout3))
-    assert blocks3[1] == [1, 2, 4]
+    assert blocks3[1] == [1, 2, 3]
     assert sum(len(v) for v in blocks3.values()) == layout3.dim
 
 
 def test_hopping_block_diagonal():
     layout = ModeLayout(3, 3)
-    hop = creation(layout, 0).entries @ annihilation(layout, 2).entries
+    hop = hopping(layout, 0, 2).entries
     totals = layout.occupation_table().sum(axis=1)
     off_block = hop[totals[:, None] != totals[None, :]]
     assert np.abs(off_block).max() == 0.0
@@ -152,24 +141,16 @@ def test_hopping_block_diagonal():
 def test_mode_out_of_range():
     layout = ModeLayout(2, 2)
     with pytest.raises(ModeOutOfRange):
-        annihilation(layout, 2)
+        hopping(layout, 2, 0)
+    with pytest.raises(ModeOutOfRange):
+        hopping(layout, 0, -1)
     with pytest.raises(ModeOutOfRange):
         number_operator(layout, -1)
 
 
-def test_arithmetic_and_layout_checks():
-    layout = ModeLayout(2, 2)
-    other = ModeLayout(2, 3)
-    a = annihilation(layout, 0)
-    state = basis_state(layout, (1, 1))
-    assert norm(state) == pytest.approx(1.0)
-    assert inner_product(state, state) == pytest.approx(1.0)
-    assert_allclose(adjoint(adjoint(a)).entries, a.entries)
-    with pytest.raises(LayoutMismatch):
-        apply(a, basis_state(other, (0, 0)))
-    with pytest.raises(LayoutMismatch):
-        matmul(a, annihilation(other, 0))
-    with pytest.raises(LengthMismatch):
-        StateVector(np.zeros(3), layout)
+def test_dense_operator_shape_check():
+    layout = ModeLayout(2, 1)
     with pytest.raises(LengthMismatch):
         DenseOperator(np.zeros((4, 3)), layout)
+    with pytest.raises(LengthMismatch):
+        DenseOperator(np.zeros((4, 4)), layout)
