@@ -35,8 +35,8 @@ from .coupler import (
 )
 from .engine import (
     PhaseAlignedDistance,
-    expm_general,
     expm_hermitian,
+    expm_nilpotent,
     is_unitary,
     phase_distance,
 )

@@ -3,7 +3,9 @@
 Bridges the Fock-space propagator and the qubit gate family: finds the
 interaction times at which the coupler acts as a pure phase pattern, tabulates
 that pattern, extracts the effective gate, and quantifies entanglement via
-Schmidt spectra.
+Schmidt spectra.  The gate times have a closed form for any couplings: the
+one-mode coupling matrix has eigenvalues +-||g|| and 0, so the interaction is
+the identity at t = 2 pi k / ||g||.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .gates import (
 )
 
 __all__ = [
-    "UnequalCouplings",
     "FreePhaseMismatch",
     "NotNormalized",
     "GateTimeSpec",
@@ -57,10 +58,6 @@ FREE_PHASE_TOL = 1e-9
 _SCAN_CHUNK = 64
 
 
-class UnequalCouplings(ValueError):
-    pass
-
-
 class FreePhaseMismatch(ValueError):
     pass
 
@@ -73,40 +70,32 @@ class NotNormalized(ValueError):
 class GateTimeSpec:
     """An interaction time at which the coupler is a pure phase gate.
 
-    t satisfies sqrt(N) |g| t = 2 pi k (the collective interaction winds back
-    to the identity) and w t = (2m + 1) pi (odd free phase per excitation).
-    c_effective = 2 pi / (t |g|) back-computes the constant in the
-    t = 2 pi/(c |g|) convention; it equals sqrt(N)/k.  t is positive for
-    either sign of g.
+    t satisfies ||g|| t = 2 pi k (the interaction winds back to the identity)
+    and w t = (2m + 1) pi (odd free phase per excitation).  t is positive for
+    any signs of the couplings.
     """
 
     t: float
     k: int
     m: int
-    c_effective: float
 
 
 def gate_time(params: CouplerParams, k: int = 1) -> GateTimeSpec:
-    """Smallest-winding gate times of the equal-coupling coupler.
+    """Gate time of winding k, t = 2 pi k / ||g||, for any couplings.
 
-    Requires g_j = g for all j; raises FreePhaseMismatch when w t misses every
-    odd multiple of pi by more than 1e-9.
+    Raises FreePhaseMismatch when w t misses every odd multiple of pi by more
+    than 1e-9.
     """
     if k < 1:
         raise ValueError(f"winding number k must be positive, got {k}")
-    g = params.couplings[0]
-    if any(abs(gj - g) > 1e-12 * max(1.0, abs(g)) for gj in params.couplings):
-        raise UnequalCouplings(
-            f"gate times are defined for equal couplings, got {params.couplings}"
-        )
-    t = 2.0 * math.pi * k / (abs(g) * math.sqrt(params.n_outer))
+    t = 2.0 * math.pi * k / params.coupling_norm
     wt = params.w * t
     m = round((wt / math.pi - 1.0) / 2.0)
     if m < 0 or abs(wt - (2 * m + 1) * math.pi) > FREE_PHASE_TOL:
         raise FreePhaseMismatch(
             f"w*t = {wt:.12g} is not an odd multiple of pi (k={k}, w={params.w})"
         )
-    return GateTimeSpec(t=t, k=k, m=m, c_effective=2.0 * math.pi / (t * abs(g)))
+    return GateTimeSpec(t=t, k=k, m=m)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,35 +31,6 @@ _ENTANGLED_MIN = 0.05
 _FINITE_FLAGS = ("time", "tol", "t_min", "t_max", "theta")
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation parameters, echoed verbatim into every report."""
-
-    command: str
-    n_outer: int
-    couplings: tuple[float, ...]
-    w: float
-    n_max: int
-    t: float | None
-    k: int
-    tol: float
-    fmt: str
-    out: str | None
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "n_outer": self.n_outer,
-            "couplings": list(self.couplings),
-            "w": self.w,
-            "n_max": self.n_max,
-            "t": self.t,
-            "k": self.k,
-            "tol": self.tol,
-            "format": self.fmt,
-        }
-
-
 def _couplings_from_args(args) -> tuple[float, ...]:
     g = args.g if args.g is not None else [1.0]
     if len(g) == 1:
@@ -72,9 +42,37 @@ def _couplings_from_args(args) -> tuple[float, ...]:
     return tuple(float(x) for x in g)
 
 
-def _default_w(couplings: tuple[float, ...], n_outer: int, k: int) -> float:
-    # Lowest free phase compatible with the gate time 2 pi k / (|g| sqrt(N)).
-    return abs(couplings[0]) * math.sqrt(n_outer) / (2.0 * k)
+def _default_w(couplings: tuple[float, ...], k: int) -> float:
+    # Lowest free phase compatible with the gate time 2 pi k / ||g||.
+    if k < 1:
+        raise ValueError(f"--k must be at least 1, got {k}")
+    return math.sqrt(sum(g * g for g in couplings)) / (2.0 * k)
+
+
+def _coupler_setup(args) -> tuple[coupler.CouplerParams, dict]:
+    """CouplerParams from the flags, and the report's config without "t".
+
+    An unset --w takes the lowest gate-compatible frequency and an unset
+    --nmax takes N + 1, the least that holds every computational input;
+    verify sets its own defaults in the parser.
+    """
+    couplings = _couplings_from_args(args)
+    w = args.w if args.w is not None else _default_w(couplings, args.k)
+    n_max = args.nmax if args.nmax is not None else args.n_outer + 1
+    params = coupler.CouplerParams(
+        n_outer=args.n_outer, w=w, couplings=couplings, n_max=n_max
+    )
+    config = {
+        "command": args.command,
+        "n_outer": args.n_outer,
+        "couplings": list(couplings),
+        "w": w,
+        "n_max": n_max,
+        "k": args.k,
+        "tol": args.tol,
+        "format": args.format,
+    }
+    return params, config
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -104,21 +102,12 @@ def _csv_text(rows: list[list]) -> str:
 
 
 def cmd_verify(args) -> int:
-    couplings = _couplings_from_args(args)
-    w = args.w if args.w is not None else 0.7
-    nmax = args.nmax if args.nmax is not None else 3
-    params = coupler.CouplerParams(
-        n_outer=args.n_outer, w=w, couplings=couplings, n_max=nmax
-    )
-    layout = params.layout()
-    t = args.time if args.time is not None else 1.0
-    config = RunConfig(
-        "verify", args.n_outer, couplings, w, nmax, t, args.k, args.tol,
-        args.format, args.out,
-    )
+    params, config = _coupler_setup(args)
+    config["t"] = args.time
     if args.format != "json":
         raise ValueError("verify reports are json only")
-    report = coupler.verify_factorization(params, layout, t, tol=args.tol)
+    layout = params.layout()
+    report = coupler.verify_factorization(params, layout, args.time, tol=args.tol)
     algebra_residual = coupler.algebra_check(params, layout)
     results = {
         "factorization": {
@@ -129,28 +118,15 @@ def cmd_verify(args) -> int:
         },
         "algebra": {"residual": algebra_residual},
     }
-    passed = report.max_block_distance <= args.tol
-    _emit(_json_report(config.as_dict(), results, report.max_block_distance, passed), args.out)
-    return 0 if passed else 1
+    _emit(_json_report(config, results, report.max_block_distance, report.passed), args.out)
+    return 0 if report.passed else 1
 
 
 def cmd_truth_table(args) -> int:
-    couplings = _couplings_from_args(args)
-    w = args.w if args.w is not None else _default_w(couplings, args.n_outer, args.k)
-    nmax = args.nmax if args.nmax is not None else args.n_outer + 1
-    params = coupler.CouplerParams(
-        n_outer=args.n_outer, w=w, couplings=couplings, n_max=nmax
-    )
-    layout = params.layout()
-    if args.time is not None:
-        t = args.time
-    else:
-        t = gate_time(params, k=args.k).t
-    config = RunConfig(
-        "truth-table", args.n_outer, couplings, w, nmax, t, args.k, args.tol,
-        args.format, args.out,
-    )
-    table = analysis.truth_table(params, layout, t, method=args.method)
+    params, config = _coupler_setup(args)
+    t = args.time if args.time is not None else gate_time(params, k=args.k).t
+    config["t"] = t
+    table = analysis.truth_table(params, params.layout(), t, method=args.method)
     # Phase pattern of the relative gate family: (-1)^K on each input.
     max_error = table.leakage
     for row in table.rows:
@@ -161,7 +137,7 @@ def cmd_truth_table(args) -> int:
         _emit(_csv_text(table.to_csv_rows()), args.out)
     else:
         results = dict(table.to_json_dict(), t=t, method=args.method)
-        _emit(_json_report(config.as_dict(), results, max_error, passed), args.out)
+        _emit(_json_report(config, results, max_error, passed), args.out)
     return 0 if passed else 1
 
 
@@ -234,20 +210,13 @@ def cmd_gates(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    couplings = _couplings_from_args(args)
-    w = args.w if args.w is not None else _default_w(couplings, args.n_outer, args.k)
-    nmax = args.nmax if args.nmax is not None else args.n_outer + 1
-    params = coupler.CouplerParams(
-        n_outer=args.n_outer, w=w, couplings=couplings, n_max=nmax
-    )
-    layout = params.layout()
-    config = RunConfig(
-        "scan", args.n_outer, couplings, w, nmax, None, args.k, args.tol,
-        args.format, args.out,
-    )
+    params, config = _coupler_setup(args)
+    config["t"] = None
     hits = analysis.scan_times(
-        params, layout, args.t_min, args.t_max, args.steps, args.tol
+        params, params.layout(), args.t_min, args.t_max, args.steps, args.tol
     )
+    # A scan that finds no gate has measured nothing to pass.
+    passed = bool(hits)
     if args.format == "csv":
         rows = [["t", "label", "distance"]]
         rows += [[repr(h.t), h.label, repr(h.distance)] for h in hits]
@@ -260,8 +229,8 @@ def cmd_scan(args) -> int:
             "hits": [{"t": h.t, "label": h.label, "distance": h.distance} for h in hits],
         }
         worst = max((h.distance for h in hits), default=0.0)
-        _emit(_json_report(config.as_dict(), results, worst, True), args.out)
-    return 0
+        _emit(_json_report(config, results, worst, passed), args.out)
+    return 0 if passed else 1
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -290,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="factorization and algebra residuals")
     _add_common(p_verify)
     p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, w=0.7, nmax=3, time=1.0)
 
     p_table = sub.add_parser("truth-table", help="computational-basis phase table")
     _add_common(p_table)

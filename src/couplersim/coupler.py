@@ -20,7 +20,9 @@ with A+ = sum_j g_j a^dag b_j, A- = A+^dag, eps = -i t, and coefficients
 where gamma = t^2 sum_j g_j^2.  Every operator here conserves excitation, so
 it is built exactly on the blocks K = 0..n_max of the layout and the identity
 holds on each of them; f diverges when sqrt(gamma) hits an odd multiple of pi,
-and evaluation is refused near those points rather than clamped.
+and evaluation is refused near those points rather than clamped.  Each factor
+has a closed form: A+ and A- are nilpotent, so their exponentials are finite
+series, and the free phase exp(-i t w K) is diagonal.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock
-from .engine import expm_general, expm_hermitian
+from .engine import expm_hermitian, expm_nilpotent
 from .fock import DenseOperator, LayoutMismatch, ModeLayout
 
 __all__ = [
@@ -113,9 +115,6 @@ class CouplerParams:
     def coupling_norm(self) -> float:
         return math.sqrt(sum(g * g for g in self.couplings))
 
-    def gamma(self, t: float) -> float:
-        return t * t * sum(g * g for g in self.couplings)
-
     def sqrt_gamma(self, t: float) -> float:
         return abs(t) * self.coupling_norm
 
@@ -192,16 +191,21 @@ def factor_coefficients(
 def factorized_propagator(
     params: CouplerParams, layout: ModeLayout, t: float
 ) -> DenseOperator:
-    """Disentangled propagator: free phase times the three interaction factors."""
+    """Disentangled propagator: free phase times the three interaction factors.
+
+    The free phase exp(-i t w K) is diagonal: it scales each row of the
+    interaction product by the phase of that state's excitation K.
+    """
     _check_layout(params, layout)
     coeffs = factor_coefficients(params, t)
     raising = _raising_part(params, layout)
     lowering = raising.conj().T
     eps = -1j * t
-    outer = expm_general(eps * coeffs.raising_coeff * raising)
-    middle = expm_general(eps * coeffs.lowering_coeff * lowering)
-    free = expm_hermitian(params.w * fock.total_number(layout).entries, t)
-    return DenseOperator(free @ outer @ middle @ outer, layout)
+    outer = expm_nilpotent(eps * coeffs.raising_coeff * raising)
+    middle = expm_nilpotent(eps * coeffs.lowering_coeff * lowering)
+    totals = layout.occupation_table().sum(axis=1)
+    free = np.exp(-1j * t * (params.w * totals))
+    return DenseOperator(free[:, None] * (outer @ middle @ outer), layout)
 
 
 @dataclass(frozen=True)

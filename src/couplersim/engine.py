@@ -1,14 +1,13 @@
 """Dense matrix exponentials and distance-up-to-global-phase.
 
 This is the brute-force oracle layer: a checked Hermitian eigendecomposition,
-the Hermitian propagator built on it, and a general exponential via scaling
-and squaring with a Taylor kernel.  Everything operates on plain complex
+the Hermitian propagator built on it, and the exponential of a nilpotent
+matrix as its terminating power series.  Everything operates on plain complex
 square ndarrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +17,12 @@ __all__ = [
     "NotHermitian",
     "EigenFailure",
     "NonFinite",
-    "ConvergenceFailure",
+    "NotNilpotent",
     "DimensionMismatch",
     "PhaseAlignedDistance",
     "eigh_hermitian",
     "expm_hermitian",
-    "expm_general",
+    "expm_nilpotent",
     "phase_distance",
     "is_unitary",
 ]
@@ -45,7 +44,7 @@ class NonFinite(EngineError):
     pass
 
 
-class ConvergenceFailure(EngineError):
+class NotNilpotent(EngineError):
     pass
 
 
@@ -54,11 +53,6 @@ class DimensionMismatch(EngineError):
 
 
 HERMITIAN_TOL = 1e-10
-
-# One-norm below which the Taylor series is summed directly; larger inputs are
-# halved until they fit.  0.25 keeps the series under ~20 terms at double eps.
-_HALVING_THRESHOLD = 0.25
-_MAX_TERMS = 64
 
 
 def _as_square(a, name: str) -> np.ndarray:
@@ -95,38 +89,30 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
 
 
-def expm_general(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a general complex matrix.
+def expm_nilpotent(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a nilpotent matrix, sum_k A^k / k!.
 
-    Scaling and squaring: halve A until its one-norm is below 0.25, sum the
-    Taylor series to machine precision, then square back.  Nilpotent inputs
-    terminate the series exactly.
+    The series is summed until a term is exactly zero.  When A is nilpotent
+    through its zero pattern (strictly triangular up to a permutation, as an
+    operator that moves quanta in one direction only is), products of exact
+    zeros stay 0.0, so its powers vanish exactly in floating point too and the
+    sum is a finite polynomial with no truncation error.  A nilpotent matrix
+    has A^dim = 0; one with no zero power up to A^(dim+1) is refused as
+    NotNilpotent.
     """
     a = _as_square(a, "A")
     if not np.all(np.isfinite(a)):
         raise NonFinite("matrix contains non-finite entries")
     n = a.shape[0]
-    norm1 = float(np.max(np.sum(np.abs(a), axis=0))) if n else 0.0
-    squarings = 0
-    if norm1 > _HALVING_THRESHOLD:
-        squarings = int(math.ceil(math.log2(norm1 / _HALVING_THRESHOLD)))
-    b = a / (2.0**squarings)
-    result = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, _MAX_TERMS + 1):
-        term = term @ b / k
+    result = term = np.eye(n, dtype=complex)
+    for k in range(1, n + 2):
+        term = term @ a / k
+        if not term.any():
+            return result
         result = result + term
-        if np.max(np.abs(term)) <= 1e-20 * max(1.0, float(np.max(np.abs(result)))):
-            break
-    else:
-        raise ConvergenceFailure(
-            f"Taylor series did not converge within {_MAX_TERMS} terms"
-        )
-    for _ in range(squarings):
-        result = result @ result
-    if not np.all(np.isfinite(result)):
-        raise ConvergenceFailure("overflow while squaring")
-    return result
+    raise NotNilpotent(
+        f"A^{n + 1} is not zero; a nilpotent {n}x{n} matrix has A^{n} = 0"
+    )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from couplersim import analysis, coupler
 from couplersim.analysis import (
     FreePhaseMismatch,
     NotNormalized,
-    UnequalCouplings,
     extract_gate,
     family_gates,
     gate_time,
@@ -31,17 +30,14 @@ class TestGateTime:
         spec = gate_time(equal_params(1, 1.0, 0.5, 2), k=1)
         assert spec.t == pytest.approx(2.0 * math.pi, abs=1e-12)
         assert spec.m == 0
-        assert spec.c_effective == pytest.approx(1.0, abs=1e-12)
 
     def test_three_qubit_configuration(self):
         spec = gate_time(equal_params(2, 1.0, math.sqrt(2) / 2.0, 3), k=1)
         assert spec.t == pytest.approx(math.pi * math.sqrt(2.0), abs=1e-12)
-        assert spec.c_effective == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_higher_winding(self):
         spec = gate_time(equal_params(1, 1.0, 0.25, 2), k=2)
         assert spec.t == pytest.approx(4.0 * math.pi, abs=1e-12)
-        assert spec.c_effective == pytest.approx(0.5, abs=1e-12)
 
     def test_interaction_and_phase_conditions_hold(self):
         params = equal_params(2, 0.7, 0.7 * math.sqrt(2.0) * 1.5, 2)  # m = 1
@@ -54,16 +50,25 @@ class TestGateTime:
     def test_negative_coupling_gives_forward_time(self):
         spec = gate_time(equal_params(1, -1.0, 0.5, 2), k=1)
         assert spec.t == pytest.approx(2.0 * math.pi, abs=1e-12)
-        assert spec.c_effective == pytest.approx(1.0, abs=1e-12)
 
     def test_free_phase_mismatch(self):
         with pytest.raises(FreePhaseMismatch):
             gate_time(equal_params(1, 1.0, 1.0 / 3.0, 2), k=1)
 
     def test_unequal_couplings(self):
-        params = CouplerParams(n_outer=2, w=0.5, couplings=(1.0, 0.9), n_max=2)
-        with pytest.raises(UnequalCouplings):
-            gate_time(params)
+        # G has eigenvalues +-||g|| and 0, so the interaction winds back at
+        # t = 2 pi / ||g|| whatever the individual couplings are.
+        gs = (0.3, 0.9, -0.5)
+        norm = math.sqrt(sum(g * g for g in gs))
+        params = CouplerParams(n_outer=3, w=norm / 2.0, couplings=gs, n_max=4)
+        spec = gate_time(params)
+        assert spec.t == pytest.approx(2.0 * math.pi / norm, abs=1e-12)
+        assert spec.m == 0
+        table = truth_table(params, params.layout(), spec.t)
+        assert table.leakage <= 1e-9
+        for row in table.rows:
+            sign = -1.0 if sum(row.occupations) % 2 else 1.0
+            assert abs(row.phase - sign) <= 1e-9
 
     def test_bad_winding(self):
         with pytest.raises(ValueError):

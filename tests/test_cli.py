@@ -1,10 +1,16 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from couplersim.analysis import gate_time
 from couplersim.cli import _json_report, main
+from couplersim.coupler import CouplerParams
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -105,6 +111,24 @@ class TestTruthTable:
         assert out == ""
         assert "outside the basis" in err
 
+    @pytest.mark.parametrize(
+        "couplings", [("1", "-1"), ("0.3", "0.9", "-0.5")], ids=" ".join
+    )
+    def test_unequal_couplings(self, capsys, couplings):
+        code, out, err = run(
+            capsys, "truth-table", "--n-outer", str(len(couplings)), "--g", *couplings
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        norm = math.sqrt(sum(float(g) ** 2 for g in couplings))
+        assert report["config"]["t"] == pytest.approx(2.0 * math.pi / norm, abs=1e-12)
+        rows = report["results"]["rows"]
+        assert len(rows) == 2 ** (len(couplings) + 1)
+        for row in rows:
+            sign = -1 if row["input"].count("1") % 2 else 1
+            assert row["phase_re"] == pytest.approx(sign, abs=1e-9)
+        assert report["passed"] is True
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "truth-table", "--format", "csv")
         assert code == 0
@@ -161,6 +185,42 @@ class TestScan:
         assert lines[0] == "t,label,distance"
         assert len(lines) > 1
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_no_hits_fails(self, capsys, fmt):
+        code, out, _ = run(
+            capsys, "scan", "--t-min", "0.1", "--t-max", "1", "--steps", "50",
+            "--format", fmt,
+        )
+        assert code == 1
+        if fmt == "json":
+            report = json.loads(out)
+            assert report["results"]["hits"] == []
+            assert report["passed"] is False
+        else:
+            assert out.strip().splitlines() == ["t,label,distance"]
+
+    def test_unequal_couplings_hit_the_gate_time(self, capsys):
+        # Default w with unequal couplings; the grid step (0.03) is wider than
+        # the hit window, so each hit is the grid point next to the gate time.
+        steps = 100
+        step = (8.0 - 5.0) / (steps - 1)
+        code, out, _ = run(
+            capsys, "scan", "--n-outer", "2", "--g", "0.3", "0.9",
+            "--t-min", "5", "--t-max", "8", "--steps", str(steps),
+        )
+        assert code == 0
+        report = json.loads(out)
+        cfg = report["config"]
+        params = CouplerParams(
+            n_outer=2, w=cfg["w"], couplings=tuple(cfg["couplings"]), n_max=cfg["n_max"]
+        )
+        t_gate = gate_time(params).t
+        hits = report["results"]["hits"]
+        assert hits
+        for hit in hits:
+            assert hit["label"] == "relative_phase_3"
+            assert abs(hit["t"] - t_gate) <= step
+
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "scan", "--t-min", "2.0", "--t-max", "1.0")
         assert code == 2
@@ -203,6 +263,14 @@ class TestNonFiniteInputs:
             _json_report({}, {"leakage": math.nan}, 0.0, True)
 
 
+@pytest.mark.parametrize("command", ["truth-table", "scan"])
+def test_winding_below_one_is_config_error(capsys, command):
+    code, out, err = run(capsys, command, "--k", "0")
+    assert code == 2
+    assert out == ""
+    assert "--k" in err
+
+
 def test_reports_are_byte_stable(tmp_path):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--out", str(first)]) == 0
@@ -213,3 +281,23 @@ def test_reports_are_byte_stable(tmp_path):
     assert main(["gates", "--out", str(g_first)]) == 0
     assert main(["gates", "--out", str(g_second)]) == 0
     assert g_first.read_bytes() == g_second.read_bytes()
+
+
+def readme_commands() -> list[list[str]]:
+    """The couplersim lines of the sh block under "## Command line"."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("couplersim ")
+    ]
+
+
+def test_readme_commands_pass(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 7
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, f"couplersim {shlex.join(argv)} exited {code}: {err}"
+        assert out

@@ -18,7 +18,7 @@ from couplersim.coupler import (
     singularity_margin,
     verify_factorization,
 )
-from couplersim.engine import expm_general, is_unitary, phase_distance
+from couplersim.engine import expm_nilpotent, is_unitary, phase_distance
 from couplersim.fock import LayoutMismatch
 
 
@@ -45,7 +45,6 @@ class TestParams:
 
     def test_gamma(self):
         params = CouplerParams(n_outer=2, w=1.0, couplings=(0.3, 0.4), n_max=2)
-        assert params.gamma(2.0) == pytest.approx(4.0 * 0.25)
         assert params.sqrt_gamma(2.0) == pytest.approx(1.0)
         assert params.coupling_norm == pytest.approx(0.5)
 
@@ -304,7 +303,7 @@ class TestAlgebraCheck:
 def test_factorized_interaction_factor_is_block_diagonal():
     params, layout = params_and_layout(2, 0.7, 1.0, 2)
 
-    factor = expm_general(-1j * 0.9 * 0.5 * _raising_part(params, layout))
+    factor = expm_nilpotent(-1j * 0.9 * 0.5 * _raising_part(params, layout))
     totals = layout.occupation_table().sum(axis=1)
     assert np.abs(factor[totals[:, None] != totals[None, :]]).max() == 0.0
 

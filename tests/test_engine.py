@@ -1,16 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from couplersim.engine import (
-    ConvergenceFailure,
     DimensionMismatch,
     EigenFailure,
     NonFinite,
     NotHermitian,
+    NotNilpotent,
     eigh_hermitian,
-    expm_general,
     expm_hermitian,
+    expm_nilpotent,
     is_unitary,
     phase_distance,
 )
@@ -75,47 +77,34 @@ class TestEighHermitian:
             expm_hermitian(np.eye(2), 1.0)
 
 
-class TestExpmGeneral:
+class TestExpmNilpotent:
     def test_zero_matrix(self):
-        assert_allclose(expm_general(np.zeros((4, 4))), np.eye(4), atol=1e-15)
+        assert_allclose(expm_nilpotent(np.zeros((4, 4))), np.eye(4), atol=1e-15)
 
     def test_nilpotent_series_terminates(self):
         x = 3.7 - 0.2j
         a = np.array([[0, x], [0, 0]], dtype=complex)
-        assert_allclose(expm_general(a), np.array([[1, x], [0, 1]]), atol=1e-15)
+        assert_allclose(expm_nilpotent(a), np.array([[1, x], [0, 1]]), atol=1e-15)
 
-    def test_inverse_identity(self, rng):
-        for _ in range(5):
-            a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-            a *= 2.0 / np.linalg.norm(a)
-            prod = expm_general(a) @ expm_general(-a)
-            assert np.linalg.norm(prod - np.eye(6)) <= 1e-10
+    def test_jordan_block_closed_form(self):
+        # exp(x J) for the shift J has entries x^(j-i) / (j-i)! above the
+        # diagonal; with x = 50 they reach 50^5/5! ~ 2.6e6.
+        n, x = 6, 50.0
+        a = np.diag(np.full(n - 1, x), 1)
+        expected = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                expected[i, j] = x ** (j - i) / math.factorial(j - i)
+        assert_allclose(expm_nilpotent(a), expected, rtol=1e-14, atol=0.0)
 
-    def test_commuting_factorization(self, rng):
-        # Polynomials in one matrix commute, so exp(A+B) = exp(A) exp(B).
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        a /= np.linalg.norm(a)
-        b = 0.4 * a @ a - 0.7 * a
-        lhs = expm_general(a + b)
-        rhs = expm_general(a) @ expm_general(b)
-        assert np.linalg.norm(lhs - rhs) <= 1e-10
-
-    def test_matches_eigendecomposition_oracle(self, rng):
-        h = random_hermitian(rng, 8, scale=3.0)
-        t = 1.3
-        assert np.linalg.norm(expm_general(-1j * t * h) - expm_hermitian(h, t)) <= 1e-10
+    def test_rejects_non_nilpotent(self):
+        with pytest.raises(NotNilpotent):
+            expm_nilpotent(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_rejects_non_finite(self):
         bad = np.array([[0.0, np.inf], [0.0, 0.0]])
         with pytest.raises(NonFinite):
-            expm_general(bad)
-
-    def test_large_norm_input_still_accurate(self):
-        # Forces many squarings.
-        h = np.array([[0, 40.0], [40.0, 0]], dtype=complex)
-        u = expm_general(-1j * h)
-        assert is_unitary(u, 1e-10)
-        assert_allclose(u[0, 0], np.cos(40.0), atol=1e-11)
+            expm_nilpotent(bad)
 
 
 class TestPhaseDistance:
