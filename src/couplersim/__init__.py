@@ -40,14 +40,7 @@ from .engine import (
     is_unitary,
     phase_distance,
 )
-from .fock import (
-    DenseOperator,
-    ModeLayout,
-    excitation_blocks,
-    hopping,
-    number_operator,
-    total_number,
-)
+from .fock import ModeLayout, excitation_blocks, one_body
 from .gates import (
     QubitGate,
     compose,

@@ -83,12 +83,17 @@ class GateTimeSpec:
 def gate_time(params: CouplerParams, k: int = 1) -> GateTimeSpec:
     """Gate time of winding k, t = 2 pi k / ||g||, for any couplings.
 
-    Raises FreePhaseMismatch when w t misses every odd multiple of pi by more
-    than 1e-9.
+    Raises ValueError when t overflows (||g|| is subnormal) and
+    FreePhaseMismatch when w t misses every odd multiple of pi by more than
+    1e-9.
     """
     if k < 1:
         raise ValueError(f"winding number k must be positive, got {k}")
     t = 2.0 * math.pi * k / params.coupling_norm
+    if not math.isfinite(t):
+        raise ValueError(
+            f"gate time 2 pi k / ||g|| is not finite (||g|| = {params.coupling_norm})"
+        )
     wt = params.w * t
     m = round((wt / math.pi - 1.0) / 2.0)
     if m < 0 or abs(wt - (2 * m + 1) * math.pi) > FREE_PHASE_TOL:
@@ -160,9 +165,9 @@ def _computational_indices(layout: ModeLayout) -> np.ndarray:
 
 def _propagator_matrix(params, layout, t, method) -> np.ndarray:
     if method == "exact":
-        return exact_propagator(params, layout, t).entries
+        return exact_propagator(params, layout, t)
     if method == "factorized":
-        return factorized_propagator(params, layout, t).entries
+        return factorized_propagator(params, layout, t)
     raise ValueError(f"unknown propagator method {method!r}")
 
 
@@ -202,7 +207,7 @@ def _computational_spectrum(
     decomposition serves any number of interaction times.
     """
     comp = _computational_indices(layout)
-    evals, vecs = eigh_hermitian(build_hamiltonian(params, layout).entries)
+    evals, vecs = eigh_hermitian(build_hamiltonian(params, layout))
     return evals, vecs[comp, :]
 
 

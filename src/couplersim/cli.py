@@ -1,8 +1,10 @@
 """Command-line front end emitting machine-readable verification reports.
 
-Exit codes: 0 all checks passed, 1 a numeric check failed, 2 configuration or
-precondition error.  Reports go to stdout (or --out); diagnostics to stderr.
-Reports are byte-stable for identical configuration.
+Each subcommand takes only the flags it reads.  Exit codes: 0 all checks
+passed, 1 a numeric check failed, 2 configuration or precondition error,
+including a flag the subcommand does not take.  Reports go to stdout (or
+--out); diagnostics to stderr.  Reports are byte-stable for identical
+configuration.
 """
 
 from __future__ import annotations
@@ -46,15 +48,16 @@ def _default_w(couplings: tuple[float, ...], k: int) -> float:
     # Lowest free phase compatible with the gate time 2 pi k / ||g||.
     if k < 1:
         raise ValueError(f"--k must be at least 1, got {k}")
-    return math.sqrt(sum(g * g for g in couplings)) / (2.0 * k)
+    return math.hypot(*couplings) / (2.0 * k)
 
 
 def _coupler_setup(args) -> tuple[coupler.CouplerParams, dict]:
-    """CouplerParams from the flags, and the report's config without "t".
+    """CouplerParams from the coupler flags, and the report's config for them.
 
     An unset --w takes the lowest gate-compatible frequency and an unset
     --nmax takes N + 1, the least that holds every computational input;
-    verify sets its own defaults in the parser.
+    verify sets its own defaults in the parser, so only truth-table and
+    scan, which have --k, reach the gate-compatible default.
     """
     couplings = _couplings_from_args(args)
     w = args.w if args.w is not None else _default_w(couplings, args.k)
@@ -68,9 +71,7 @@ def _coupler_setup(args) -> tuple[coupler.CouplerParams, dict]:
         "couplings": list(couplings),
         "w": w,
         "n_max": n_max,
-        "k": args.k,
         "tol": args.tol,
-        "format": args.format,
     }
     return params, config
 
@@ -104,8 +105,6 @@ def _csv_text(rows: list[list]) -> str:
 def cmd_verify(args) -> int:
     params, config = _coupler_setup(args)
     config["t"] = args.time
-    if args.format != "json":
-        raise ValueError("verify reports are json only")
     layout = params.layout()
     report = coupler.verify_factorization(params, layout, args.time, tol=args.tol)
     algebra_residual = coupler.algebra_check(params, layout)
@@ -125,7 +124,7 @@ def cmd_verify(args) -> int:
 def cmd_truth_table(args) -> int:
     params, config = _coupler_setup(args)
     t = args.time if args.time is not None else gate_time(params, k=args.k).t
-    config["t"] = t
+    config.update(k=args.k, format=args.format, t=t)
     table = analysis.truth_table(params, params.layout(), t, method=args.method)
     # Phase pattern of the relative gate family: (-1)^K on each input.
     max_error = table.leakage
@@ -154,8 +153,6 @@ def _schmidt_extrema(gate: gates.QubitGate, samples: int, rng) -> tuple[float, f
 
 
 def cmd_gates(args) -> int:
-    if args.format != "json":
-        raise ValueError("gate reports are json only")
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     theta = args.theta if args.theta is not None else math.pi
@@ -172,7 +169,6 @@ def cmd_gates(args) -> int:
         "theta": theta,
         "samples": args.samples,
         "tol": args.tol,
-        "format": args.format,
     }
     decomposition = gates.compose(
         [gates.control_phase_shift(), gates.swap_gate(),
@@ -211,7 +207,7 @@ def cmd_gates(args) -> int:
 
 def cmd_scan(args) -> int:
     params, config = _coupler_setup(args)
-    config["t"] = None
+    config.update(k=args.k, format=args.format)
     hits = analysis.scan_times(
         params, params.layout(), args.t_min, args.t_max, args.steps, args.tol
     )
@@ -233,7 +229,8 @@ def cmd_scan(args) -> int:
     return 0 if passed else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_coupler(parser: argparse.ArgumentParser) -> None:
+    """The flags _coupler_setup reads."""
     parser.add_argument("--n-outer", type=int, default=1, help="number of outer modes N")
     parser.add_argument(
         "--g", type=float, nargs="+", default=None,
@@ -243,13 +240,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--nmax", type=int, default=None, help="highest excitation block K checked"
     )
-    parser.add_argument("--time", type=float, default=None, help="interaction time")
-    parser.add_argument("--k", type=int, default=1, help="gate-time winding number")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each holding only the flags that command reads."""
     parser = argparse.ArgumentParser(
         prog="couplersim",
         description="Verify the coupler propagator factorization and its phase gates.",
@@ -257,31 +251,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="factorization and algebra residuals")
-    _add_common(p_verify)
+    _add_coupler(p_verify)
+    p_verify.add_argument("--time", type=float, default=1.0, help="interaction time")
     p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.set_defaults(func=cmd_verify, w=0.7, nmax=3, time=1.0)
+    p_verify.set_defaults(func=cmd_verify, w=0.7, nmax=3)
 
     p_table = sub.add_parser("truth-table", help="computational-basis phase table")
-    _add_common(p_table)
+    _add_coupler(p_table)
+    p_table.add_argument(
+        "--time", type=float, default=None, help="interaction time (default: the gate time)"
+    )
     p_table.add_argument("--tol", type=float, default=1e-9)
     p_table.add_argument("--method", choices=("exact", "factorized"), default="exact")
     p_table.set_defaults(func=cmd_truth_table)
 
     p_gates = sub.add_parser("gates", help="print the gate family and its identities")
-    _add_common(p_gates)
     p_gates.add_argument("--tol", type=float, default=1e-10)
     p_gates.add_argument("--theta", type=float, default=None)
     p_gates.add_argument("--samples", type=int, default=100)
     p_gates.set_defaults(func=cmd_gates)
 
     p_scan = sub.add_parser("scan", help="locate gate times on a grid")
-    _add_common(p_scan)
+    _add_coupler(p_scan)
     p_scan.add_argument("--tol", type=float, default=0.05)
     p_scan.add_argument("--t-min", type=float, default=0.1)
     p_scan.add_argument("--t-max", type=float, default=13.0)
     p_scan.add_argument("--steps", type=int, default=5000)
     p_scan.set_defaults(func=cmd_scan)
 
+    for p in (p_table, p_scan):
+        p.add_argument("--k", type=int, default=1, help="gate-time winding number")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+    for p in (p_verify, p_table, p_gates, p_scan):
+        p.add_argument(
+            "--out", default=None, help="write the report here instead of stdout"
+        )
     return parser
 
 

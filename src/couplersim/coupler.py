@@ -17,12 +17,16 @@ with A+ = sum_j g_j a^dag b_j, A- = A+^dag, eps = -i t, and coefficients
 
     f = tan(sqrt(gamma)/2) / sqrt(gamma),   h = sin(sqrt(gamma)) / sqrt(gamma),
 
-where gamma = t^2 sum_j g_j^2.  Every operator here conserves excitation, so
-it is built exactly on the blocks K = 0..n_max of the layout and the identity
-holds on each of them; f diverges when sqrt(gamma) hits an odd multiple of pi,
-and evaluation is refused near those points rather than clamped.  Each factor
-has a closed form: A+ and A- are nilpotent, so their exponentials are finite
-series, and the free phase exp(-i t w K) is diagonal.
+where gamma = t^2 sum_j g_j^2.  Every operator here is the one-body image
+sum_kl m[k, l] c_k^dag c_l (fock.one_body, with c_0 = a and c_j = b_j) of an
+(N+1) x (N+1) mode matrix m: w I + G with G[0, j] = G[j, 0] = g_j for H, row
+0 equal to (0, g_1, ..., g_N) for A+, and (sum_j g_j^2 e_00 - g g^T) / 2 for
+the su(2) generator J3.  Such operators conserve excitation, so each is a
+dense matrix built exactly on the blocks K = 0..n_max of the layout, and the
+identity holds on each block.  f diverges when sqrt(gamma) hits an odd
+multiple of pi, and evaluation is refused near those points rather than
+clamped.  Each factor has a closed form: A+ and A- are nilpotent, so their
+exponentials are finite series, and the free phase exp(-i t w K) is diagonal.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from . import fock
 from .engine import expm_hermitian, expm_nilpotent
-from .fock import DenseOperator, LayoutMismatch, ModeLayout
+from .fock import LayoutMismatch, ModeLayout
 
 __all__ = [
     "NearSingularity",
@@ -113,7 +117,8 @@ class CouplerParams:
 
     @property
     def coupling_norm(self) -> float:
-        return math.sqrt(sum(g * g for g in self.couplings))
+        """||g||, computed without underflow or overflow of the squares."""
+        return math.hypot(*self.couplings)
 
     def sqrt_gamma(self, t: float) -> float:
         return abs(t) * self.coupling_norm
@@ -132,27 +137,23 @@ def _check_layout(params: CouplerParams, layout: ModeLayout) -> None:
         )
 
 
-def _raising_part(params: CouplerParams, layout: ModeLayout) -> np.ndarray:
-    """sum_j g_j a^dag b_j as a dense matrix."""
-    out = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for j, g in enumerate(params.couplings, start=1):
-        if g != 0.0:
-            out += g * fock.hopping(layout, 0, j).entries
-    return out
+def _raising_modes(params: CouplerParams) -> np.ndarray:
+    """Mode matrix of A+ = sum_j g_j a^dag b_j: row 0 holds (0, g_1, ..., g_N)."""
+    c = np.zeros((params.n_outer + 1, params.n_outer + 1))
+    c[0, 1:] = params.couplings
+    return c
 
 
-def build_hamiltonian(params: CouplerParams, layout: ModeLayout) -> DenseOperator:
-    """w * (total number) + sum_j g_j (a^dag b_j + a b_j^dag)."""
+def build_hamiltonian(params: CouplerParams, layout: ModeLayout) -> np.ndarray:
+    """w * (total number) + sum_j g_j (a^dag b_j + a b_j^dag), mode matrix w I + G."""
     _check_layout(params, layout)
-    raising = _raising_part(params, layout)
-    h = params.w * fock.total_number(layout).entries + raising + raising.conj().T
-    return DenseOperator(h, layout)
+    c = _raising_modes(params)
+    return fock.one_body(layout, params.w * np.eye(layout.mode_count) + c + c.T)
 
 
-def exact_propagator(params: CouplerParams, layout: ModeLayout, t: float) -> DenseOperator:
+def exact_propagator(params: CouplerParams, layout: ModeLayout, t: float) -> np.ndarray:
     """exp(-i t H), the brute-force reference propagator."""
-    h = build_hamiltonian(params, layout)
-    return DenseOperator(expm_hermitian(h.entries, t), layout)
+    return expm_hermitian(build_hamiltonian(params, layout), t)
 
 
 class FactorCoefficients(NamedTuple):
@@ -190,7 +191,7 @@ def factor_coefficients(
 
 def factorized_propagator(
     params: CouplerParams, layout: ModeLayout, t: float
-) -> DenseOperator:
+) -> np.ndarray:
     """Disentangled propagator: free phase times the three interaction factors.
 
     The free phase exp(-i t w K) is diagonal: it scales each row of the
@@ -198,14 +199,14 @@ def factorized_propagator(
     """
     _check_layout(params, layout)
     coeffs = factor_coefficients(params, t)
-    raising = _raising_part(params, layout)
+    raising = fock.one_body(layout, _raising_modes(params))
     lowering = raising.conj().T
     eps = -1j * t
     outer = expm_nilpotent(eps * coeffs.raising_coeff * raising)
     middle = expm_nilpotent(eps * coeffs.lowering_coeff * lowering)
     totals = layout.occupation_table().sum(axis=1)
     free = np.exp(-1j * t * (params.w * totals))
-    return DenseOperator(free[:, None] * (outer @ middle @ outer), layout)
+    return free[:, None] * (outer @ middle @ outer)
 
 
 @dataclass(frozen=True)
@@ -232,8 +233,8 @@ def verify_factorization(
     params: CouplerParams, layout: ModeLayout, t: float, tol: float = 1e-8
 ) -> FactorizationReport:
     """Compare the disentangled product against the eigendecomposition oracle."""
-    exact = exact_propagator(params, layout, t).entries
-    fact = factorized_propagator(params, layout, t).entries
+    exact = exact_propagator(params, layout, t)
+    fact = factorized_propagator(params, layout, t)
     distances = []
     for k, idx in fock.excitation_blocks(layout):
         sub = np.ix_(idx, idx)
@@ -254,17 +255,13 @@ def _su2_generators(
     """J+ = sum_j g_j a^dag b_j and J3 = (sum_j g_j^2 a^dag a - B^dag B)/2.
 
     B^dag B = sum_ij g_i g_j b_i^dag b_j is the occupation of the outer-mode
-    combination the central mode couples to.
+    combination the central mode couples to, so J3 has the mode matrix
+    (kappa e_00 - g g^T)/2 with g = (0, g_1, ..., g_N).
     """
-    gs = params.couplings
-    cross = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for i, gi in enumerate(gs, start=1):
-        for j, gj in enumerate(gs, start=1):
-            if gi * gj != 0.0:
-                cross += gi * gj * fock.hopping(layout, i, j).entries
-    g_sq = sum(g * g for g in gs)
-    j3 = 0.5 * (g_sq * fock.number_operator(layout, 0).entries - cross)
-    return _raising_part(params, layout), j3
+    c = _raising_modes(params)
+    m = -np.outer(c[0], c[0])
+    m[0, 0] = sum(g * g for g in params.couplings)
+    return fock.one_body(layout, c), fock.one_body(layout, 0.5 * m)
 
 
 def algebra_check(params: CouplerParams, layout: ModeLayout) -> float:

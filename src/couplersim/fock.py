@@ -1,10 +1,11 @@
-"""Excitation-bounded multimode Fock space: indexing, hopping operators, blocks.
+"""Excitation-bounded multimode Fock space: indexing, one-body operators, blocks.
 
-Every operator the coupler forms is a sum of hopping terms a_i^dag a_j, which
-conserve the total excitation K = n_0 + ... + n_{M-1}.  The basis is therefore
-the set of occupation tuples with K <= n_max, ordered by K and, inside one K,
-lexicographically.  Every hopping operator maps this space into itself, so
-its matrix, and every sum and product of such matrices, is exact: no matrix
+Every operator the coupler forms is a one-body operator: the image
+sum_ij m[i, j] a_i^dag a_j of an M x M mode matrix m, which conserves the
+total excitation K = n_0 + ... + n_{M-1}.  The basis is therefore the set of
+occupation tuples with K <= n_max, ordered by K and, inside one K,
+lexicographically.  A one-body operator maps this space into itself, so its
+matrix, and every sum and product of such matrices, is exact: no matrix
 element is dropped.  Mode 0 is the central waveguide mode; the outer modes
 follow in order.
 """
@@ -21,13 +22,9 @@ __all__ = [
     "FockError",
     "OccupationOutOfRange",
     "LengthMismatch",
-    "ModeOutOfRange",
     "LayoutMismatch",
     "ModeLayout",
-    "DenseOperator",
-    "hopping",
-    "number_operator",
-    "total_number",
+    "one_body",
     "excitation_blocks",
 ]
 
@@ -41,11 +38,7 @@ class OccupationOutOfRange(FockError):
 
 
 class LengthMismatch(FockError):
-    """A matrix or occupation list does not match the layout dimension."""
-
-
-class ModeOutOfRange(FockError):
-    """A mode index is outside 0..mode_count-1."""
+    """A mode matrix or occupation list does not match the layout."""
 
 
 class LayoutMismatch(FockError):
@@ -115,65 +108,43 @@ def _basis(mode_count: int, n_max: int) -> tuple[np.ndarray, dict]:
     return table, {occ: i for i, occ in enumerate(rows)}
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """Dense complex matrix acting on the excitation-bounded basis."""
+def one_body(layout: ModeLayout, m) -> np.ndarray:
+    """sum_ij m[i, j] a_i^dag a_j, the Fock-space image of a mode matrix.
 
-    entries: np.ndarray
-    layout: ModeLayout
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.entries, dtype=complex)
-        if mat.shape != (self.layout.dim, self.layout.dim):
-            raise LengthMismatch(
-                f"operator of shape {mat.shape} does not match dimension {self.layout.dim}"
-            )
-        object.__setattr__(self, "entries", mat)
-
-
-def _check_mode(layout: ModeLayout, mode: int) -> None:
-    if not 0 <= mode < layout.mode_count:
-        raise ModeOutOfRange(f"mode {mode} outside 0..{layout.mode_count - 1}")
-
-
-def hopping(layout: ModeLayout, i: int, j: int) -> DenseOperator:
-    """a_i^dag a_j: moves one quantum from mode j to mode i.
-
-    The element from |n> to |n - e_j + e_i> is sqrt((n_i + 1) n_j) with n_i
-    read after the quantum has left mode j, so hopping(i, i) is n_i.
+    m is a mode_count x mode_count matrix; the result is a dense complex
+    (dim, dim) matrix.  a_i^dag a_j moves one quantum from mode j to mode i,
+    with element sqrt((n_i + 1) n_j) from |n> to |n - e_j + e_i> (n_i read
+    after the quantum has left mode j), and a_i^dag a_i is n_i.  Each
+    unordered pair of modes is walked once: a_j^dag a_i is the transpose of
+    a_i^dag a_j.  Distinct terms fill distinct entries, so every entry is one
+    coefficient times one element.
     """
-    _check_mode(layout, i)
-    _check_mode(layout, j)
+    m = np.asarray(m)
+    shape = (layout.mode_count, layout.mode_count)
+    if m.shape != shape:
+        raise LengthMismatch(f"mode matrix of shape {m.shape}, expected {shape}")
     table, index = _basis(layout.mode_count, layout.n_max)
-    src = np.flatnonzero(table[:, j] > 0)
-    moved = table[src].copy()
-    moved[:, j] -= 1
-    values = np.sqrt((moved[:, i] + 1) * table[src, j])
-    moved[:, i] += 1
-    dst = [index[tuple(occ)] for occ in moved.tolist()]
-    mat = np.zeros((layout.dim, layout.dim), dtype=complex)
-    mat[dst, src] = values
-    return DenseOperator(mat, layout)
-
-
-def number_operator(layout: ModeLayout, mode: int) -> DenseOperator:
-    """Diagonal occupation-number operator of one mode."""
-    _check_mode(layout, mode)
-    occ = layout.occupation_table()[:, mode]
-    return DenseOperator(np.diag(occ.astype(complex)), layout)
-
-
-def total_number(layout: ModeLayout) -> DenseOperator:
-    """Sum of the number operators of all modes."""
-    total = layout.occupation_table().sum(axis=1)
-    return DenseOperator(np.diag(total.astype(complex)), layout)
+    out = np.zeros((layout.dim, layout.dim), dtype=complex)
+    out[np.diag_indices(layout.dim)] = table @ np.diag(m)
+    for i in range(layout.mode_count):
+        for j in range(i + 1, layout.mode_count):
+            if m[i, j] == 0 and m[j, i] == 0:
+                continue
+            src = np.flatnonzero(table[:, j] > 0)
+            moved = table[src].copy()
+            moved[:, j] -= 1
+            values = np.sqrt((moved[:, i] + 1) * table[src, j])
+            moved[:, i] += 1
+            dst = [index[tuple(occ)] for occ in moved.tolist()]
+            out[dst, src] = m[i, j] * values
+            out[src, dst] = m[j, i] * values
+    return out
 
 
 def excitation_blocks(layout: ModeLayout) -> list[tuple[int, np.ndarray]]:
     """Index ranges of the blocks K = 0..n_max, ascending in K.
 
-    Every operator built from hopping terms is block diagonal with respect to
-    this partition.
+    Every one_body operator is block diagonal with respect to this partition.
     """
     totals = layout.occupation_table().sum(axis=1)
     return [(k, np.flatnonzero(totals == k)) for k in range(layout.n_max + 1)]

@@ -191,8 +191,8 @@ def test_criterion_7_small_t_generator():
     delta = 1e-4
     derivatives = []
     for propagator in (exact_propagator, factorized_propagator):
-        plus = propagator(params, layout, delta).entries
-        minus = propagator(params, layout, -delta).entries
+        plus = propagator(params, layout, delta)
+        minus = propagator(params, layout, -delta)
         derivatives.append((plus - minus) / (2.0 * delta))
     deviation = float(np.linalg.norm(derivatives[0] - derivatives[1]))
     passed = deviation <= 1e-6

@@ -14,7 +14,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage error
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -59,9 +62,11 @@ class TestVerify:
         assert json.loads(out)["config"]["couplings"] == [0.3, 0.9]
 
     def test_csv_not_supported(self, capsys):
-        code, _, err = run(capsys, "verify", "--format", "csv")
+        # verify has no --format flag: its reports are json only
+        code, out, err = run(capsys, "verify", "--format", "csv")
         assert code == 2
-        assert "json" in err
+        assert out == ""
+        assert "unrecognized arguments: --format csv" in err
 
 
 class TestTruthTable:
@@ -135,6 +140,24 @@ class TestTruthTable:
         lines = out.strip().splitlines()
         assert lines[0] == "input,phase_re,phase_im,fidelity"
         assert len(lines) == 5
+
+    def test_tiny_coupling_keeps_its_norm(self, capsys):
+        # sum(g^2) underflows to 0 here; ||g|| = 1e-300 does not
+        code, out, err = run(capsys, "truth-table", "--g", "1e-300")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["config"]["w"] == pytest.approx(0.5e-300, rel=1e-15)
+        for row in report["results"]["rows"]:
+            sign = -1 if row["input"].count("1") % 2 else 1
+            assert row["phase_re"] == pytest.approx(sign, abs=1e-9)
+        assert report["passed"] is True
+
+    def test_subnormal_coupling_is_config_error(self, capsys):
+        # the gate time 2 pi / 1e-320 overflows to inf
+        code, out, err = run(capsys, "truth-table", "--g", "1e-320")
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
 
 
 class TestGates:
@@ -261,6 +284,42 @@ class TestNonFiniteInputs:
     def test_report_refuses_nan(self):
         with pytest.raises(ValueError):
             _json_report({}, {"leakage": math.nan}, 0.0, True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("gates", "--g", "1"), ("scan", "--time", "5"), ("verify", "--k", "2")],
+    ids=" ".join,
+)
+def test_flag_the_command_does_not_read_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+CORE_CONFIG = {"command", "n_outer", "couplings", "w", "n_max", "tol"}
+
+
+@pytest.mark.parametrize(
+    "argv,keys",
+    [
+        pytest.param(("verify",), CORE_CONFIG | {"t"}, id="verify"),
+        pytest.param(("truth-table",), CORE_CONFIG | {"k", "format", "t"}, id="truth-table"),
+        pytest.param(
+            ("gates", "--samples", "1"), {"command", "theta", "samples", "tol"}, id="gates"
+        ),
+        pytest.param(
+            ("scan", "--t-min", "6", "--t-max", "6.6", "--steps", "50"),
+            CORE_CONFIG | {"k", "format"},
+            id="scan",
+        ),
+    ],
+)
+def test_config_lists_the_command_flags(capsys, argv, keys):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert set(json.loads(out)["config"]) == keys
 
 
 @pytest.mark.parametrize("command", ["truth-table", "scan"])

@@ -6,15 +6,11 @@ from numpy.testing import assert_allclose
 
 from couplersim import fock
 from couplersim.fock import (
-    DenseOperator,
     LengthMismatch,
     ModeLayout,
-    ModeOutOfRange,
     OccupationOutOfRange,
     excitation_blocks,
-    hopping,
-    number_operator,
-    total_number,
+    one_body,
 )
 
 
@@ -68,12 +64,23 @@ def test_basis_states_orthonormal():
     assert np.all(np.diff(layout.occupation_table().sum(axis=1)) >= 0)
 
 
+def unit(mode_count, i, j):
+    """Mode matrix E_ij, whose image is a_i^dag a_j."""
+    m = np.zeros((mode_count, mode_count))
+    m[i, j] = 1.0
+    return m
+
+
+def number_diagonal(layout, mode):
+    return np.diag(layout.occupation_table()[:, mode]).astype(complex)
+
+
 def test_hopping_matrix_elements():
     layout = ModeLayout(3, 3)
     table = layout.occupation_table()
     for i in range(3):
         for j in range(3):
-            hop = hopping(layout, i, j).entries
+            hop = one_body(layout, unit(3, i, j))
             for col, n in enumerate(table):
                 for row, m in enumerate(table):
                     if i == j:
@@ -91,32 +98,32 @@ def test_hopping_matrix_elements():
 def test_hopping_diagonal_is_number_operator(mode):
     layout = ModeLayout(3, 3)
     assert_allclose(
-        hopping(layout, mode, mode).entries, number_operator(layout, mode).entries, atol=0
+        one_body(layout, unit(3, mode, mode)), number_diagonal(layout, mode), atol=0
     )
 
 
 def test_hopping_commutator_is_exact():
     # [a_0^dag a_1, a_1^dag a_0] = n_0 - n_1 on every block, the top one included
     layout = ModeLayout(2, 3)
-    up, down = hopping(layout, 0, 1).entries, hopping(layout, 1, 0).entries
-    diff = number_operator(layout, 0).entries - number_operator(layout, 1).entries
+    up, down = one_body(layout, unit(2, 0, 1)), one_body(layout, unit(2, 1, 0))
+    diff = number_diagonal(layout, 0) - number_diagonal(layout, 1)
     assert np.linalg.norm(up @ down - down @ up - diff) <= 1e-12
 
 
 def test_number_operators():
     layout = ModeLayout(2, 2)
     # basis (0,0) | (0,1) (1,0) | (0,2) (1,1) (2,0)
-    assert_allclose(number_operator(layout, 0).entries, np.diag([0, 0, 1, 0, 1, 2]))
+    assert_allclose(one_body(layout, unit(2, 0, 0)), np.diag([0, 0, 1, 0, 1, 2]))
     small = ModeLayout(2, 1)
-    assert_allclose(total_number(small).entries, np.diag([0, 1, 1]).astype(complex))
+    assert_allclose(one_body(small, np.eye(2)), np.diag([0, 1, 1]).astype(complex))
 
 
 def test_total_number_commutes_with_hopping():
     layout = ModeLayout(3, 3)
-    n_tot = total_number(layout).entries
+    n_tot = one_body(layout, np.eye(3))
     for i in range(layout.mode_count):
         for j in range(layout.mode_count):
-            hop = hopping(layout, i, j).entries
+            hop = one_body(layout, unit(3, i, j))
             assert np.linalg.norm(n_tot @ hop - hop @ n_tot) <= 1e-12
 
 
@@ -130,27 +137,52 @@ def test_excitation_blocks_examples():
     assert sum(len(v) for v in blocks3.values()) == layout3.dim
 
 
-def test_hopping_block_diagonal():
+def test_hopping_block_diagonal(rng):
     layout = ModeLayout(3, 3)
-    hop = hopping(layout, 0, 2).entries
+    op = one_body(layout, rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     totals = layout.occupation_table().sum(axis=1)
-    off_block = hop[totals[:, None] != totals[None, :]]
+    off_block = op[totals[:, None] != totals[None, :]]
     assert np.abs(off_block).max() == 0.0
 
 
 def test_mode_out_of_range():
+    # the mode matrix must be mode_count x mode_count
     layout = ModeLayout(2, 2)
-    with pytest.raises(ModeOutOfRange):
-        hopping(layout, 2, 0)
-    with pytest.raises(ModeOutOfRange):
-        hopping(layout, 0, -1)
-    with pytest.raises(ModeOutOfRange):
-        number_operator(layout, -1)
+    for shape in ((3, 3), (1, 1), (2, 3), (2,), (layout.dim, layout.dim)):
+        with pytest.raises(LengthMismatch):
+            one_body(layout, np.zeros(shape))
 
 
-def test_dense_operator_shape_check():
-    layout = ModeLayout(2, 1)
-    with pytest.raises(LengthMismatch):
-        DenseOperator(np.zeros((4, 3)), layout)
-    with pytest.raises(LengthMismatch):
-        DenseOperator(np.zeros((4, 4)), layout)
+def random_mode_matrix(rng, mode_count):
+    return rng.normal(size=(mode_count, mode_count)) + 1j * rng.normal(
+        size=(mode_count, mode_count)
+    )
+
+
+SIZES = [(m, n) for m in (2, 3, 4) for n in (1, 2, 3)]
+
+
+class TestOneBodyOracle:
+    """one_body is the Lie-algebra image of gl(M): checks that need no Fock matrix."""
+
+    @pytest.mark.parametrize("mode_count,n_max", SIZES)
+    def test_commutator_of_images_is_image_of_commutator(self, rng, mode_count, n_max):
+        layout = ModeLayout(mode_count, n_max)
+        a, b = random_mode_matrix(rng, mode_count), random_mode_matrix(rng, mode_count)
+        ga, gb = one_body(layout, a), one_body(layout, b)
+        assert np.linalg.norm(ga @ gb - gb @ ga - one_body(layout, a @ b - b @ a)) <= 1e-12
+
+    @pytest.mark.parametrize("mode_count,n_max", SIZES)
+    def test_adjoint_of_image_is_image_of_adjoint(self, rng, mode_count, n_max):
+        layout = ModeLayout(mode_count, n_max)
+        dense = random_mode_matrix(rng, mode_count)
+        # the triangular part has pairs with only one of m[i, j], m[j, i] nonzero
+        for a in (dense, np.triu(dense)):
+            image = one_body(layout, a)
+            assert_allclose(image.conj().T, one_body(layout, a.conj().T), atol=0)
+
+    @pytest.mark.parametrize("mode_count,n_max", SIZES)
+    def test_identity_maps_to_total_excitation(self, mode_count, n_max):
+        layout = ModeLayout(mode_count, n_max)
+        totals = layout.occupation_table().sum(axis=1)
+        assert_allclose(one_body(layout, np.eye(mode_count)), np.diag(totals), atol=0)
