@@ -16,7 +16,7 @@ from .analysis import (
     extract_gate,
     family_gates,
     gate_time,
-    random_product_state,
+    random_product_states,
     scan_times,
     schmidt,
     truth_table,
@@ -33,20 +33,13 @@ from .coupler import (
     factorized_propagator,
     verify_factorization,
 )
-from .engine import (
-    PhaseAlignedDistance,
-    expm_hermitian,
-    expm_nilpotent,
-    is_unitary,
-    phase_distance,
-)
+from .engine import expm_hermitian, expm_nilpotent, is_unitary
 from .fock import ModeLayout, excitation_blocks, one_body
 from .gates import (
     QubitGate,
     compose,
     control_c_phase,
     control_phase_shift,
-    equal_up_to_phase,
     identity_gate,
     one_qubit_phase,
     relative_phase_2,

@@ -5,7 +5,9 @@ interaction times at which the coupler acts as a pure phase pattern, tabulates
 that pattern, extracts the effective gate, and quantifies entanglement via
 Schmidt spectra.  The gate times have a closed form for any couplings: the
 one-mode coupling matrix has eigenvalues +-||g|| and 0, so the interaction is
-the identity at t = 2 pi k / ||g||.
+the identity at t = 2 pi k / ||g||.  Qubit states travel as rows: random
+product states are drawn as a (count, 2^n) stack and schmidt decomposes a
+whole stack with one SVD.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .coupler import (
     exact_propagator,
     factorized_propagator,
 )
-from .engine import eigh_hermitian
+from .engine import eigh_hermitian, finite_max
 from .fock import ModeLayout
 from .gates import (
     QubitGate,
@@ -48,7 +50,7 @@ __all__ = [
     "scan_times",
     "schmidt",
     "family_gates",
-    "random_product_state",
+    "random_product_states",
 ]
 
 FREE_PHASE_TOL = 1e-9
@@ -179,7 +181,7 @@ def truth_table(
     u = _propagator_matrix(params, layout, t, method)
     outside = np.setdiff1d(np.arange(layout.dim), comp)
     rows = []
-    leakage = 0.0
+    leakages = []
     for idx in comp:
         col = u[:, idx]
         amp = complex(col[idx])
@@ -189,13 +191,13 @@ def truth_table(
         # 1 - sum over computational outputs, without the cancellation.
         escaped = math.sqrt(float(np.sum(np.abs(col[outside]) ** 2)))
         off_diag = float(np.sum(np.abs(col[comp]) ** 2) - abs(amp) ** 2)
-        leakage = max(leakage, escaped + max(0.0, off_diag))
+        leakages.append(escaped + np.maximum(off_diag, 0.0))
         rows.append(
             TruthTableRow(
                 occupations=layout.occupations(int(idx)), phase=phase, fidelity=fid
             )
         )
-    return TruthTable(rows=tuple(rows), leakage=leakage)
+    return TruthTable(rows=tuple(rows), leakage=finite_max(leakages, "truth-table leakage"))
 
 
 def _computational_spectrum(
@@ -305,46 +307,62 @@ def scan_times(
 
 class SchmidtSpectrum(NamedTuple):
     singular_values: np.ndarray
-    entropy_bits: float
+    entropy_bits: float | np.ndarray
 
 
 def schmidt(amplitudes: np.ndarray, cut: int) -> SchmidtSpectrum:
-    """Schmidt spectrum of a normalized n-qubit pure state across qubits [0, cut).
+    """Schmidt spectra of normalized n-qubit pure states across qubits [0, cut).
 
-    amplitudes has length 2^n in the register order |j1 ... jn>, j1 most
-    significant.  Singular values come back descending; the entropy is
-    -sum sigma^2 log2 sigma^2 in bits.
+    amplitudes holds one state (2^n,) or a stack (..., 2^n), each in the
+    register order |j1 ... jn>, j1 most significant.  Singular values come
+    back descending, shape (..., 2^min(cut, n - cut)), from one SVD of the
+    whole stack; the entropy, one per state, is -sum sigma^2 log2 sigma^2 in
+    bits.  Every state must have norm 1 within 1e-9.
     """
     amp = np.asarray(amplitudes, dtype=complex)
-    n_qubits = amp.size.bit_length() - 1
-    if amp.ndim != 1 or amp.size != 2**n_qubits:
-        raise ValueError(f"expected a vector of 2^n amplitudes, got shape {amp.shape}")
+    size = amp.shape[-1] if amp.ndim else 0
+    n_qubits = size.bit_length() - 1
+    if size != 2**n_qubits:
+        raise ValueError(f"expected states of 2^n amplitudes, got shape {amp.shape}")
     if not 1 <= cut < n_qubits:
         raise ValueError(f"cut must satisfy 1 <= cut < {n_qubits}, got {cut}")
-    nrm = float(np.linalg.norm(amp))
-    if abs(nrm - 1.0) > 1e-9:
-        raise NotNormalized(f"state norm {nrm:.12g} is not 1")
-    svals = np.linalg.svd(amp.reshape(2**cut, -1), compute_uv=False)
+    nrm = np.linalg.norm(amp, axis=-1)
+    worst = float(np.max(np.abs(nrm - 1.0)))
+    if not worst <= 1e-9:
+        raise NotNormalized(f"state norm off 1 by {worst:.12g}")
+    svals = np.linalg.svd(amp.reshape(*amp.shape[:-1], 2**cut, -1), compute_uv=False)
     probs = svals**2
-    positive = probs[probs > 0.0]
-    entropy = float(-np.sum(positive * np.log2(positive)))
+    logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    entropy = -np.sum(probs * logs, axis=-1)
     return SchmidtSpectrum(singular_values=svals, entropy_bits=entropy)
 
 
-def random_product_state(
-    rng: np.random.Generator, n_qubits: int, min_magnitude: float = 0.1
+def random_product_states(
+    rng: np.random.Generator, n_qubits: int, count: int, min_magnitude: float = 0.1
 ) -> np.ndarray:
-    """Random product state whose single-qubit amplitudes all clear a floor.
+    """count random product states, shape (count, 2^n), from one stream of draws.
 
-    Each qubit is drawn Haar-like (normalized complex Gaussian pair) and
-    redrawn until both amplitude magnitudes are at least min_magnitude.
+    Each qubit is drawn Haar-like, a complex Gaussian pair normalized to 1,
+    and redrawn until both amplitude magnitudes are at least min_magnitude.
+    Draws are taken state by state, qubit by qubit, one attempt as the four
+    normals (re0, re1, im0, im1), so row i is the i-th state of the same
+    sequence of draws one at a time.  Rejected attempts are topped up by
+    drawing exactly the shortfall, so rng ends where the last accepted
+    attempt left it.
     """
-    out = np.array([1.0 + 0.0j])
-    for _ in range(n_qubits):
-        while True:
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            v /= np.linalg.norm(v)
-            if float(np.min(np.abs(v))) >= min_magnitude:
-                break
-        out = np.kron(out, v)
-    return out
+    needed = count * n_qubits
+    accepted = []
+    while needed:
+        draws = rng.normal(size=(needed, 4))
+        re, im = draws[:, :2], draws[:, 2:]
+        v = re + 1j * im
+        # The norm as np.linalg.norm(v) forms it for one vector, bit for bit.
+        v /= np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[:, None]
+        v = v[np.abs(v).min(axis=1) >= min_magnitude]
+        accepted.append(v)
+        needed -= len(v)
+    qubits = np.concatenate(accepted).reshape(count, n_qubits, 2)
+    states = np.ones((count, 1), dtype=complex)
+    for q in range(n_qubits):
+        states = (states[:, :, None] * qubits[:, q, None, :]).reshape(count, -1)
+    return states

@@ -32,13 +32,13 @@ exponentials are finite series, and the free phase exp(-i t w K) is diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fock
-from .engine import expm_hermitian, expm_nilpotent
+from .engine import expm_hermitian, expm_nilpotent, finite_max
 from .fock import LayoutMismatch, ModeLayout
 
 __all__ = [
@@ -242,7 +242,7 @@ def verify_factorization(
     sg = params.sqrt_gamma(t)
     return FactorizationReport(
         block_distances=tuple(distances),
-        max_block_distance=max(d for _, d in distances),
+        max_block_distance=finite_max([d for _, d in distances], "factorization block distance"),
         sqrt_gamma=sg,
         singularity_margin=singularity_margin(sg),
         tolerance=tol,
@@ -271,13 +271,19 @@ def algebra_check(params: CouplerParams, layout: ModeLayout) -> float:
     and [J3, J+-] = +-kappa J+-.  They are the relations of the paper's scaled
     generators L+- = eps J+-, L3 = eps^2 J3 with the powers of eps = -i t
     divided out, so the residual carries no t-dependent scale and the sign is
-    fixed.  Returns the largest Frobenius norm of the three residuals; each
-    residual is block diagonal, so the norm covers every block K = 0..n_max.
+    fixed.  Both sides are homogeneous in g (degree 2 in the first relation,
+    3 in the others), so they are checked on the unit couplings g / ||g||:
+    the residual is scale free, and no coupling large enough to overflow
+    kappa or a commutator reaches them.  Returns the largest Frobenius norm of
+    the three residuals; each residual is block diagonal, so the norm covers
+    every block K = 0..n_max.
     """
     _check_layout(params, layout)
-    j_plus, j3 = _su2_generators(params, layout)
+    norm = params.coupling_norm
+    unit = replace(params, couplings=tuple(g / norm for g in params.couplings))
+    j_plus, j3 = _su2_generators(unit, layout)
     j_minus = j_plus.conj().T
-    kappa = sum(g * g for g in params.couplings)
+    kappa = sum(g * g for g in unit.couplings)
 
     def comm(x, y):
         return x @ y - y @ x
@@ -287,4 +293,4 @@ def algebra_check(params: CouplerParams, layout: ModeLayout) -> float:
         comm(j3, j_plus) - kappa * j_plus,
         comm(j3, j_minus) + kappa * j_minus,
     )
-    return max(float(np.linalg.norm(r)) for r in residuals)
+    return finite_max([np.linalg.norm(r) for r in residuals], "algebra residual")

@@ -1,14 +1,15 @@
-"""Dense matrix exponentials and distance-up-to-global-phase.
+"""Dense matrix exponentials and the checks on their inputs and results.
 
 This is the brute-force oracle layer: a checked Hermitian eigendecomposition,
 the Hermitian propagator built on it, and the exponential of a nilpotent
 matrix as its terminating power series.  Everything operates on plain complex
-square ndarrays.
+square ndarrays.  finite_max is the reduction every reported worst case goes
+through, so a NaN or inf is refused rather than dropped or reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -19,11 +20,10 @@ __all__ = [
     "NonFinite",
     "NotNilpotent",
     "DimensionMismatch",
-    "PhaseAlignedDistance",
     "eigh_hermitian",
     "expm_hermitian",
     "expm_nilpotent",
-    "phase_distance",
+    "finite_max",
     "is_unitary",
 ]
 
@@ -71,8 +71,10 @@ def eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = _as_square(h, "H")
     if not np.all(np.isfinite(h)):
         raise NonFinite("H contains non-finite entries")
-    defect = float(np.linalg.norm(h - h.conj().T))
-    if defect > HERMITIAN_TOL * max(1.0, float(np.linalg.norm(h))):
+    # Compared on H / max(1, largest |entry|), so the norms cannot overflow.
+    scaled = h / max(1.0, float(np.abs(h).max()))
+    defect = float(np.linalg.norm(scaled - scaled.conj().T))
+    if defect > HERMITIAN_TOL * max(1.0, float(np.linalg.norm(scaled))):
         raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
     try:
         return np.linalg.eigh(h)
@@ -115,33 +117,16 @@ def expm_nilpotent(a: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class PhaseAlignedDistance:
-    """Frobenius distance after removing the optimal global phase."""
+def finite_max(values, what: str) -> float:
+    """Largest of values, refused as NonFinite when any of them is NaN or infinite.
 
-    distance: float
-    phase: float
-
-
-def phase_distance(u: np.ndarray, v: np.ndarray) -> PhaseAlignedDistance:
-    """min over phi of ||U - e^{i phi} V||_F together with the minimizing phi.
-
-    The optimum is phi = arg tr(V^dag U).  When that trace (essentially)
-    vanishes the minimizer is not unique; phi = 0 is reported and the distance
-    is then just sqrt(||U||^2 + ||V||^2).
+    Python's max alone would drop a NaN or keep it depending on where it sits.
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"shape {u.shape} vs {v.shape}")
-    overlap = complex(np.trace(v.conj().T @ u))
-    scale = max(1.0, float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
-    if abs(overlap) <= 1e-14 * scale:
-        phase = 0.0
-    else:
-        phase = float(np.angle(overlap))
-    distance = float(np.linalg.norm(u - np.exp(1j * phase) * v))
-    return PhaseAlignedDistance(distance=distance, phase=phase)
+    values = [float(v) for v in values]
+    for v in values:
+        if not math.isfinite(v):
+            raise NonFinite(f"{what} is not finite: {v}")
+    return max(values)
 
 
 def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:

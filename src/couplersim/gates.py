@@ -3,6 +3,7 @@
 Basis order is |j1 j2 ... jn> with j1 most significant, the order in which
 the coupler's computational inputs are listed (j1 is the central mode).
 Everything in the family is diagonal in the computational basis except SWAP.
+A gate applies to one state vector or to each row of a stack of states.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .engine import phase_distance
 
 __all__ = [
     "QubitGate",
@@ -24,7 +23,6 @@ __all__ = [
     "relative_phase_3",
     "identity_gate",
     "compose",
-    "equal_up_to_phase",
 ]
 
 
@@ -55,7 +53,8 @@ class QubitGate:
         return 2**self.qubit_count
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(amplitudes, dtype=complex)
+        """The gate applied to one state (2^n,) or to each row of a stack (..., 2^n)."""
+        return np.asarray(amplitudes, dtype=complex) @ self.matrix.T
 
     def to_json_matrix(self) -> list:
         """Row-major nested lists of [re, im] pairs."""
@@ -130,9 +129,3 @@ def compose(gates: list[QubitGate]) -> QubitGate:
     for g in gates:
         mat = mat @ g.matrix
     return QubitGate(n, mat, "*".join(g.label for g in gates))
-
-
-def equal_up_to_phase(a: QubitGate, b: QubitGate, tol: float = 1e-10) -> tuple[bool, float]:
-    """Whether A = e^{i phi} B within tol, and the aligning phi."""
-    aligned = phase_distance(a.matrix, b.matrix)
-    return aligned.distance <= tol, aligned.phase

@@ -13,7 +13,7 @@ import pytest
 from couplersim.analysis import (
     extract_gate,
     gate_time,
-    random_product_state,
+    random_product_states,
     schmidt,
     truth_table,
 )
@@ -138,9 +138,9 @@ def test_criterion_4_shift_swap_identity():
 
 def test_criterion_5_entanglement_dichotomy():
     rng2 = np.random.default_rng(1)
-    states2 = [random_product_state(rng2, 2, 0.1) for _ in range(PRODUCT_STATES)]
+    states2 = random_product_states(rng2, 2, PRODUCT_STATES, 0.1)
     rng3 = np.random.default_rng(1)
-    states3 = [random_product_state(rng3, 3, 0.1) for _ in range(PRODUCT_STATES)]
+    states3 = random_product_states(rng3, 3, PRODUCT_STATES, 0.1)
 
     rel2_second = 0.0
     cz_second_min = 1.0

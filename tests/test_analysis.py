@@ -11,14 +11,21 @@ from couplersim.analysis import (
     extract_gate,
     family_gates,
     gate_time,
-    random_product_state,
+    random_product_states,
     scan_times,
     schmidt,
     truth_table,
 )
 from couplersim.coupler import CouplerParams, exact_propagator
 from couplersim.fock import OccupationOutOfRange
-from couplersim.gates import control_c_phase, relative_phase_2, relative_phase_3
+from couplersim.gates import (
+    QubitGate,
+    control_c_phase,
+    relative_phase_2,
+    relative_phase_3,
+)
+
+from helpers import random_unitary
 
 
 def equal_params(n_outer, g, w, n_max):
@@ -293,8 +300,8 @@ class TestSchmidt:
 
     def test_relative_gate_output_stays_product(self, rng):
         gate = relative_phase_2(math.pi)
-        for _ in range(20):
-            out = gate.apply(random_product_state(rng, 2))
+        for psi in random_product_states(rng, 2, 20):
+            out = gate.apply(psi)
             svals, entropy = schmidt(out, 1)
             assert svals[1] <= 1e-12
             assert entropy <= 1e-10
@@ -343,8 +350,7 @@ def test_propagator_conserves_total_number():
 
 
 def test_random_product_state_respects_floor(rng):
-    for _ in range(25):
-        psi = random_product_state(rng, 3, 0.2)
+    for psi in random_product_states(rng, 3, 25, 0.2):
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
         for cut in (1, 2):
             assert schmidt(psi, cut).singular_values[1] <= 1e-12
@@ -353,3 +359,75 @@ def test_random_product_state_respects_floor(rng):
         for axis in range(3):
             marginal = cube.sum(axis=tuple(a for a in range(3) if a != axis))
             assert marginal.min() >= 0.2**2 - 1e-12
+
+
+def product_state_by_loop(rng, n_qubits, min_magnitude):
+    """Reference: one product state, one rejection loop per qubit, np.kron."""
+    out = np.array([1.0 + 0.0j])
+    for _ in range(n_qubits):
+        while True:
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            v /= np.linalg.norm(v)
+            if float(np.min(np.abs(v))) >= min_magnitude:
+                break
+        out = np.kron(out, v)
+    return out
+
+
+class TestRandomProductStates:
+    @pytest.mark.parametrize("floor", [0.1, 0.45])
+    @pytest.mark.parametrize("count", [1, 7, 100])
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_rows_are_the_loop_draws(self, n_qubits, count, floor):
+        # Floor 0.45 rejects about 40% of attempts, so several top-ups run.
+        batched, looped = np.random.default_rng(5), np.random.default_rng(5)
+        states = random_product_states(batched, n_qubits, count, floor)
+        reference = np.array(
+            [product_state_by_loop(looped, n_qubits, floor) for _ in range(count)]
+        )
+        assert states.shape == (count, 2**n_qubits)
+        assert np.array_equal(states, reference)
+        assert batched.random() == looped.random()
+
+    def test_stacked_apply_and_schmidt_match_per_state(self, rng):
+        for n_qubits in (2, 3):
+            states = random_product_states(rng, n_qubits, 300)
+            gates = [
+                QubitGate(n_qubits, random_unitary(rng, 2**n_qubits), "random"),
+                relative_phase_2(math.pi) if n_qubits == 2 else relative_phase_3(),
+            ]
+            if n_qubits == 2:
+                gates.append(control_c_phase())
+            for gate in gates:
+                out = gate.apply(states)
+                each = np.array([gate.apply(psi) for psi in states])
+                assert_allclose(out, each, rtol=0.0, atol=1e-15)
+                for cut in range(1, n_qubits):
+                    svals, entropy = schmidt(out, cut)
+                    assert svals.shape == (300, 2 ** min(cut, n_qubits - cut))
+                    assert entropy.shape == (300,)
+                    for i in (0, 1, 299):
+                        one = schmidt(out[i], cut)
+                        assert_allclose(svals[i], one.singular_values, rtol=0.0, atol=1e-15)
+                        assert entropy[i] == pytest.approx(one.entropy_bits, abs=1e-15)
+
+    def test_diagonal_gates_stack_bitwise(self, rng):
+        # The dichotomy gates are diagonal: each output amplitude is one
+        # product, so stacked and per-state results agree bit for bit.
+        for gate in (relative_phase_2(math.pi), control_c_phase(), relative_phase_3()):
+            states = random_product_states(rng, gate.qubit_count, 100)
+            out = gate.apply(states)
+            assert np.array_equal(out, np.array([gate.apply(psi) for psi in states]))
+            svals = schmidt(out, 1).singular_values
+            assert np.array_equal(
+                svals, np.array([schmidt(psi, 1).singular_values for psi in out])
+            )
+
+    def test_one_state_off_norm_refuses_the_stack(self, rng):
+        states = random_product_states(rng, 2, 5)
+        states[3] *= 1.01
+        with pytest.raises(NotNormalized):
+            schmidt(states, 1)
+        states[3] = np.nan
+        with pytest.raises(NotNormalized):
+            schmidt(states, 1)

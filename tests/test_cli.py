@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from couplersim.analysis import gate_time
+from couplersim import analysis, cli, coupler
+from couplersim.analysis import TruthTable, TruthTableRow, gate_time
 from couplersim.cli import _json_report, main
 from couplersim.coupler import CouplerParams
 
@@ -179,6 +180,16 @@ class TestGates:
         mat = np.array([[complex(re, im) for re, im in row] for row in gates[label]])
         np.testing.assert_allclose(mat, np.diag([1, 1j, 1j, 1]), atol=1e-12)
 
+    def test_dichotomy_draws_are_pinned(self, capsys):
+        # The stacked draw must consume the stream as one state at a time did;
+        # a reordered draw gives 0.0513, close to the 0.05 floor.
+        code, out, _ = run(capsys, "gates")
+        assert code == 0
+        checks = json.loads(out)["results"]["checks"]
+        assert checks["control_c_second_coefficient_min"] == pytest.approx(
+            0.09611763280683375, rel=1e-12
+        )
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_no_samples_is_config_error(self, capsys, samples):
         code, out, err = run(capsys, "gates", "--samples", samples)
@@ -280,6 +291,63 @@ class TestNonFiniteInputs:
         code, out, _ = run(capsys, "truth-table", "--time", "nan")
         assert code == 2
         assert "NaN" not in out and "passed" not in out
+
+    def test_huge_coupling_gives_a_finite_report(self, capsys):
+        # The su(2) relations are checked on g / ||g||, so kappa ~ 1e320 and
+        # commutators of 1e160-sized generators are never formed.
+        code, out, err = run(capsys, "verify", "--g", "1e160")
+        assert code == 1
+        report = json.loads(out)
+        assert report["results"]["algebra"]["residual"] <= 1e-12
+        assert report["results"]["factorization"]["sqrt_gamma"] == 1e160
+        assert err == ""
+
+    @staticmethod
+    def _nan_propagator(params, layout, t):
+        return np.full((layout.dim, layout.dim), np.nan, dtype=complex)
+
+    def test_nan_factorization_distance_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(coupler, "exact_propagator", self._nan_propagator)
+        code, out, err = run(capsys, "verify")
+        assert code == 2
+        assert out == ""
+        assert "factorization block distance is not finite" in err
+
+    def test_nan_algebra_residual_is_refused(self, capsys, monkeypatch):
+        def nan_generators(params, layout):
+            nan = np.full((layout.dim, layout.dim), np.nan, dtype=complex)
+            return nan, nan
+
+        monkeypatch.setattr(coupler, "_su2_generators", nan_generators)
+        code, out, err = run(capsys, "verify")
+        assert code == 2
+        assert out == ""
+        assert "algebra residual is not finite" in err
+
+    @pytest.mark.parametrize("method", ["exact", "factorized"])
+    def test_nan_truth_table_leakage_is_refused(self, capsys, monkeypatch, method):
+        monkeypatch.setattr(analysis, f"{method}_propagator", self._nan_propagator)
+        code, out, err = run(capsys, "truth-table", "--method", method)
+        assert code == 2
+        assert out == ""
+        assert "truth-table leakage is not finite" in err
+
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_nan_truth_table_error_is_refused(self, capsys, monkeypatch, row):
+        # A NaN phase behind a finite leakage, first or last among the errors.
+        real = analysis.truth_table
+
+        def nan_phase(*args, **kwargs):
+            table = real(*args, **kwargs)
+            rows = list(table.rows)
+            rows[row] = TruthTableRow(rows[row].occupations, complex(math.nan, 0.0), 1.0)
+            return TruthTable(rows=tuple(rows), leakage=table.leakage)
+
+        monkeypatch.setattr(cli.analysis, "truth_table", nan_phase)
+        code, out, err = run(capsys, "truth-table")
+        assert code == 2
+        assert out == ""
+        assert "truth-table max_error is not finite" in err
 
     def test_report_refuses_nan(self):
         with pytest.raises(ValueError):

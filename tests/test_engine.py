@@ -13,11 +13,11 @@ from couplersim.engine import (
     eigh_hermitian,
     expm_hermitian,
     expm_nilpotent,
+    finite_max,
     is_unitary,
-    phase_distance,
 )
 
-from helpers import random_hermitian, random_unitary
+from helpers import random_hermitian
 
 
 class TestExpmHermitian:
@@ -58,6 +58,20 @@ class TestEighHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             eigh_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e160, 1e300])
+    def test_hermiticity_check_at_any_scale(self, scale):
+        # ||H||_F overflows for entries above ~1e154; the check must neither
+        # overflow into a warning nor turn vacuous there.
+        h = scale * np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
+        evals, _ = eigh_hermitian(h)
+        assert_allclose(evals, scale * np.sqrt(5.0) * np.array([-1.0, 1.0]), rtol=1e-14)
+        with pytest.raises(NotHermitian):
+            eigh_hermitian(h + np.array([[0.0, 0.0], [scale, 0.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            eigh_hermitian(np.ones((2, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
@@ -107,48 +121,18 @@ class TestExpmNilpotent:
             expm_nilpotent(bad)
 
 
-class TestPhaseDistance:
-    def test_identical_operators(self, rng):
-        u = random_unitary(rng, 4)
-        aligned = phase_distance(u, u)
-        assert aligned.distance == pytest.approx(0.0, abs=1e-13)
-        assert aligned.phase == pytest.approx(0.0, abs=1e-13)
-
-    def test_global_phase_removed(self):
-        u = np.eye(3)
-        aligned = phase_distance(u, np.exp(1j * np.pi / 3) * u)
-        assert aligned.distance == pytest.approx(0.0, abs=1e-14)
-        assert aligned.phase == pytest.approx(-np.pi / 3)
-
-    def test_degenerate_trace_branch(self):
-        aligned = phase_distance(np.diag([1.0, 1.0]), np.diag([1.0, -1.0]))
-        assert aligned.phase == 0.0
-        assert aligned.distance == pytest.approx(2.0)
-
-    def test_distance_squared_identity(self, rng):
-        for _ in range(10):
-            u = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            v = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            aligned = phase_distance(u, v)
-            expected_sq = (
-                np.linalg.norm(u) ** 2
-                + np.linalg.norm(v) ** 2
-                - 2.0 * abs(np.trace(v.conj().T @ u))
-            )
-            assert aligned.distance**2 == pytest.approx(expected_sq, abs=1e-12)
-
-    def test_zero_iff_equal_up_to_phase(self, rng):
-        u = random_unitary(rng, 5)
-        assert phase_distance(u, np.exp(0.7j) * u).distance <= 1e-13
-        v = random_unitary(rng, 5)
-        # Distinct random unitaries are not phase related.
-        assert phase_distance(u, v).distance > 1e-3
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            phase_distance(np.eye(2), np.eye(3))
-
-
 def test_is_unitary():
     assert is_unitary(np.eye(3))
     assert not is_unitary(np.diag([1.0, 0.5]), tol=1e-10)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_finite_max_refuses_nan_anywhere(position):
+    values = [0.5, 0.25, 0.125]
+    assert finite_max(values, "x") == 0.5
+    values[position] = math.nan
+    with pytest.raises(NonFinite, match="the check is not finite: nan"):
+        finite_max(values, "the check")
+    values[position] = math.inf
+    with pytest.raises(NonFinite, match="inf"):
+        finite_max(values, "the check")
