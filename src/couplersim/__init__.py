@@ -34,7 +34,7 @@ from .coupler import (
     verify_factorization,
 )
 from .engine import expm_hermitian, expm_nilpotent, is_unitary
-from .fock import ModeLayout, excitation_blocks, one_body
+from .fock import ModeLayout, one_body
 from .gates import (
     QubitGate,
     compose,

@@ -3,29 +3,31 @@
 Bridges the Fock-space propagator and the qubit gate family: finds the
 interaction times at which the coupler acts as a pure phase pattern, tabulates
 that pattern, extracts the effective gate, and quantifies entanglement via
-Schmidt spectra.  The gate times have a closed form for any couplings: the
-one-mode coupling matrix has eigenvalues +-||g|| and 0, so the interaction is
-the identity at t = 2 pi k / ||g||.  Qubit states travel as rows: random
-product states are drawn as a (count, 2^n) stack and schmidt decomposes a
-whole stack with one SVD.
+Schmidt spectra, building only the excitation blocks K <= N+1 that hold the
+occupation-0/1 inputs.  The gate times have a closed form for any couplings:
+the one-mode coupling matrix has eigenvalues +-||g|| and 0, so the
+interaction is the identity at t = 2 pi k / ||g||.  Qubit states travel as
+rows: random product states are drawn as a (count, 2^n) stack and schmidt
+decomposes a whole stack with one SVD.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .coupler import (
     CouplerParams,
+    _check_layout,
     build_hamiltonian,
     exact_propagator,
     factorized_propagator,
 )
 from .engine import eigh_hermitian, finite_max
-from .fock import ModeLayout
+from .fock import ModeLayout, OccupationOutOfRange, block_occupations
 from .gates import (
     QubitGate,
     control_c_phase,
@@ -56,7 +58,7 @@ __all__ = [
 FREE_PHASE_TOL = 1e-9
 
 # Grid points per batched restriction in scan_times; bounds the working set to
-# a few (chunk, 2^(N+1), dim) complex arrays.
+# a few (chunk, 2^(N+1), dim) complex arrays, dim that of the blocks K <= N+1.
 _SCAN_CHUNK = 64
 
 
@@ -151,50 +153,57 @@ class TruthTable:
         return out
 
 
-def _computational_indices(layout: ModeLayout) -> np.ndarray:
-    """Flat indices of the occupation-0/1 states, in binary order of the bits.
+def _computational_space(
+    params: CouplerParams, layout: ModeLayout
+) -> tuple[CouplerParams, np.ndarray, np.ndarray, np.ndarray]:
+    """params cut to the blocks K <= M, the occupation-0/1 states, their K and places.
 
-    Raises OccupationOutOfRange when n_max is below the mode count, because the
-    all-ones input then lies outside the basis.
+    The (2^M, M) states come in binary order, mode 0 most significant; each
+    state's position is inside its block K, K its number of ones.  Raises
+    OccupationOutOfRange when n_max < M: the all-ones input is then cut off.
     """
+    _check_layout(params, layout)
     modes = layout.mode_count
-    idx = []
-    for code in range(2**modes):
-        bits = [(code >> (modes - 1 - b)) & 1 for b in range(modes)]
-        idx.append(layout.flat_index(bits))
-    return np.asarray(idx)
-
-
-def _propagator_matrix(params, layout, t, method) -> np.ndarray:
-    if method == "exact":
-        return exact_propagator(params, layout, t)
-    if method == "factorized":
-        return factorized_propagator(params, layout, t)
-    raise ValueError(f"unknown propagator method {method!r}")
+    if layout.n_max < modes:
+        raise OccupationOutOfRange(
+            f"occupations {(1,) * modes} are outside the basis: their total "
+            f"{modes} exceeds n_max = {layout.n_max}"
+        )
+    shifts = np.arange(modes - 1, -1, -1)
+    bits = (np.arange(2**modes)[:, None] >> shifts) & 1
+    position = np.empty(2**modes, dtype=np.intp)
+    for k in range(modes + 1):
+        table = block_occupations(modes, k)
+        binary = np.flatnonzero(table.max(axis=1) <= 1)
+        position[table[binary] @ (1 << shifts)] = binary
+    return replace(params, n_max=modes), bits, bits.sum(axis=1), position
 
 
 def truth_table(
     params: CouplerParams, layout: ModeLayout, t: float, method: str = "exact"
 ) -> TruthTable:
     """Evolve each computational basis state and record its diagonal phase."""
-    comp = _computational_indices(layout)
-    u = _propagator_matrix(params, layout, t, method)
-    outside = np.setdiff1d(np.arange(layout.dim), comp)
+    cut, bits, totals, position = _computational_space(params, layout)
+    if method not in ("exact", "factorized"):
+        raise ValueError(f"unknown propagator method {method!r}")
+    propagator = exact_propagator if method == "exact" else factorized_propagator
+    u = propagator(cut, cut.layout(), t)
     rows = []
     leakages = []
-    for idx in comp:
-        col = u[:, idx]
+    for occupations, k, idx in zip(bits, totals, position):
+        comp = position[totals == k]
+        col = u[k][:, idx]
         amp = complex(col[idx])
         fid = min(1.0, abs(amp))  # roundoff can push |amp| epsilon past 1
         phase = amp / abs(amp) if fid > 1e-12 else 1.0 + 0.0j
         # Complement of the computational mass; for unitary u this equals
         # 1 - sum over computational outputs, without the cancellation.
-        escaped = math.sqrt(float(np.sum(np.abs(col[outside]) ** 2)))
+        escaped = math.sqrt(float(np.sum(np.abs(np.delete(col, comp)) ** 2)))
         off_diag = float(np.sum(np.abs(col[comp]) ** 2) - abs(amp) ** 2)
         leakages.append(escaped + np.maximum(off_diag, 0.0))
         rows.append(
             TruthTableRow(
-                occupations=layout.occupations(int(idx)), phase=phase, fidelity=fid
+                occupations=tuple(occupations.tolist()), phase=phase, fidelity=fid
             )
         )
     return TruthTable(rows=tuple(rows), leakage=finite_max(leakages, "truth-table leakage"))
@@ -205,12 +214,21 @@ def _computational_spectrum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of H and the computational rows V_c of its eigenvectors.
 
-    U(t)[comp, comp] = V_c diag(exp(-i t lambda)) V_c^dag for every t, so one
+    Each block K <= M is diagonalized on its own, so V_c is zero between a
+    row and an eigenvector of different K.  For every t,
+    U(t)[comp, comp] = V_c diag(exp(-i t lambda)) V_c^dag, so one
     decomposition serves any number of interaction times.
     """
-    comp = _computational_indices(layout)
-    evals, vecs = eigh_hermitian(build_hamiltonian(params, layout))
-    return evals, vecs[comp, :]
+    cut, bits, totals, position = _computational_space(params, layout)
+    spectra = [eigh_hermitian(h) for h in build_hamiltonian(cut, cut.layout())]
+    evals = np.concatenate([lam for lam, _ in spectra])
+    v_comp = np.zeros((len(bits), len(evals)), dtype=complex)
+    start = 0
+    for k, (lam, vecs) in enumerate(spectra):
+        rows = totals == k
+        v_comp[rows, start : start + len(lam)] = vecs[position[rows]]
+        start += len(lam)
+    return evals, v_comp
 
 
 def _restrictions(
@@ -275,8 +293,9 @@ def scan_times(
 
     A grid point is a hit when the extracted gate has leakage <= tol and sits
     within Frobenius distance tol of one of the family gates.  Results are
-    ordered by t.  H is built and diagonalized once; every grid point is then
-    evaluated from that spectrum, a chunk of points at a time.
+    ordered by t.  H is built once and diagonalized once per block; every
+    grid point is then evaluated from that spectrum, a chunk of points at a
+    time.
     """
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")

@@ -21,12 +21,13 @@ where gamma = t^2 sum_j g_j^2.  Every operator here is the one-body image
 sum_kl m[k, l] c_k^dag c_l (fock.one_body, with c_0 = a and c_j = b_j) of an
 (N+1) x (N+1) mode matrix m: w I + G with G[0, j] = G[j, 0] = g_j for H, row
 0 equal to (0, g_1, ..., g_N) for A+, and (sum_j g_j^2 e_00 - g g^T) / 2 for
-the su(2) generator J3.  Such operators conserve excitation, so each is a
-dense matrix built exactly on the blocks K = 0..n_max of the layout, and the
-identity holds on each block.  f diverges when sqrt(gamma) hits an odd
-multiple of pi, and evaluation is refused near those points rather than
-clamped.  Each factor has a closed form: A+ and A- are nilpotent, so their
-exponentials are finite series, and the free phase exp(-i t w K) is diagonal.
+the su(2) generator J3.  Such operators conserve excitation, so each is
+passed as the list of its dense blocks K = 0..n_max of the layout, built
+exactly, and the identity is checked block by block.  f diverges when
+sqrt(gamma) hits an odd multiple of pi, and evaluation is refused near those
+points rather than clamped.  Each factor has a closed form: A+ and A- are
+nilpotent, so their exponentials are finite series, and the free phase
+exp(-i t w K) is one scalar per block.
 """
 
 from __future__ import annotations
@@ -63,16 +64,19 @@ _SERIES_CROSSOVER = 1e-4
 
 
 class NearSingularity(ValueError):
-    """sqrt(gamma) is too close to an odd multiple of pi for the tan coefficient."""
+    """sqrt(gamma) is too close to an odd multiple of pi, or too coarse to tell."""
 
     def __init__(self, sqrt_gamma: float, margin: float, limit: float):
         self.sqrt_gamma = sqrt_gamma
         self.margin = margin
         self.limit = limit
-        super().__init__(
-            f"sqrt(gamma)={sqrt_gamma:.12g} is within {margin:.3e} of an odd "
-            f"multiple of pi (limit {limit:.1e})"
+        spacing = math.ulp(sqrt_gamma)
+        detail = (
+            f"has float spacing {spacing:.3e}, too coarse to resolve an odd multiple of pi"
+            if spacing > limit
+            else f"is within {margin:.3e} of an odd multiple of pi"
         )
+        super().__init__(f"sqrt(gamma)={sqrt_gamma:.12g} {detail} (limit {limit:.1e})")
 
 
 @dataclass(frozen=True)
@@ -144,16 +148,17 @@ def _raising_modes(params: CouplerParams) -> np.ndarray:
     return c
 
 
-def build_hamiltonian(params: CouplerParams, layout: ModeLayout) -> np.ndarray:
-    """w * (total number) + sum_j g_j (a^dag b_j + a b_j^dag), mode matrix w I + G."""
+def build_hamiltonian(params: CouplerParams, layout: ModeLayout) -> list[np.ndarray]:
+    """Blocks K = 0..n_max of w N_tot + sum_j g_j (a^dag b_j + a b_j^dag), modes w I + G."""
     _check_layout(params, layout)
     c = _raising_modes(params)
-    return fock.one_body(layout, params.w * np.eye(layout.mode_count) + c + c.T)
+    m = params.w * np.eye(layout.mode_count) + c + c.T
+    return [fock.one_body(m, k) for k in range(layout.n_max + 1)]
 
 
-def exact_propagator(params: CouplerParams, layout: ModeLayout, t: float) -> np.ndarray:
-    """exp(-i t H), the brute-force reference propagator."""
-    return expm_hermitian(build_hamiltonian(params, layout), t)
+def exact_propagator(params: CouplerParams, layout: ModeLayout, t: float) -> list[np.ndarray]:
+    """Blocks of exp(-i t H), the brute-force reference propagator."""
+    return [expm_hermitian(h, t) for h in build_hamiltonian(params, layout)]
 
 
 class FactorCoefficients(NamedTuple):
@@ -174,11 +179,13 @@ def factor_coefficients(
     """tan- and sinc-type coefficients at interaction angle sqrt(gamma).
 
     Raises NearSingularity when sqrt(gamma) is within delta_sing of an odd
-    multiple of pi, where the tan coefficient diverges.
+    multiple of pi, where the tan coefficient diverges, and when the float
+    spacing at sqrt(gamma) exceeds delta_sing (from sqrt(gamma) = 2^33 on at
+    the default), where that distance cannot be resolved.
     """
     sg = params.sqrt_gamma(t)
     margin = singularity_margin(sg)
-    if margin <= delta_sing:
+    if margin <= delta_sing or math.ulp(sg) > delta_sing:
         raise NearSingularity(sg, margin, delta_sing)
     if sg < _SERIES_CROSSOVER:
         f = 0.5 + sg**2 / 24.0 + sg**4 / 240.0
@@ -191,22 +198,22 @@ def factor_coefficients(
 
 def factorized_propagator(
     params: CouplerParams, layout: ModeLayout, t: float
-) -> np.ndarray:
-    """Disentangled propagator: free phase times the three interaction factors.
+) -> list[np.ndarray]:
+    """Blocks of the disentangled propagator: free phase times the three factors.
 
-    The free phase exp(-i t w K) is diagonal: it scales each row of the
-    interaction product by the phase of that state's excitation K.
+    On block K the free phase exp(-i t w K) is a scalar.
     """
     _check_layout(params, layout)
     coeffs = factor_coefficients(params, t)
-    raising = fock.one_body(layout, _raising_modes(params))
-    lowering = raising.conj().T
+    c = _raising_modes(params)
     eps = -1j * t
-    outer = expm_nilpotent(eps * coeffs.raising_coeff * raising)
-    middle = expm_nilpotent(eps * coeffs.lowering_coeff * lowering)
-    totals = layout.occupation_table().sum(axis=1)
-    free = np.exp(-1j * t * (params.w * totals))
-    return free[:, None] * (outer @ middle @ outer)
+    blocks = []
+    for k in range(layout.n_max + 1):
+        raising = fock.one_body(c, k)
+        outer = expm_nilpotent(eps * coeffs.raising_coeff * raising)
+        middle = expm_nilpotent(eps * coeffs.lowering_coeff * raising.conj().T)
+        blocks.append(np.exp(-1j * t * (params.w * k)) * (outer @ middle @ outer))
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -235,13 +242,12 @@ def verify_factorization(
     """Compare the disentangled product against the eigendecomposition oracle."""
     exact = exact_propagator(params, layout, t)
     fact = factorized_propagator(params, layout, t)
-    distances = []
-    for k, idx in fock.excitation_blocks(layout):
-        sub = np.ix_(idx, idx)
-        distances.append((k, float(np.linalg.norm(exact[sub] - fact[sub]))))
+    distances = tuple(
+        (k, float(np.linalg.norm(e - f))) for k, (e, f) in enumerate(zip(exact, fact))
+    )
     sg = params.sqrt_gamma(t)
     return FactorizationReport(
-        block_distances=tuple(distances),
+        block_distances=distances,
         max_block_distance=finite_max([d for _, d in distances], "factorization block distance"),
         sqrt_gamma=sg,
         singularity_margin=singularity_margin(sg),
@@ -249,10 +255,8 @@ def verify_factorization(
     )
 
 
-def _su2_generators(
-    params: CouplerParams, layout: ModeLayout
-) -> tuple[np.ndarray, np.ndarray]:
-    """J+ = sum_j g_j a^dag b_j and J3 = (sum_j g_j^2 a^dag a - B^dag B)/2.
+def _su2_generators(params: CouplerParams) -> tuple[np.ndarray, np.ndarray]:
+    """Mode matrices of J+ = sum_j g_j a^dag b_j and J3 = (sum_j g_j^2 a^dag a - B^dag B)/2.
 
     B^dag B = sum_ij g_i g_j b_i^dag b_j is the occupation of the outer-mode
     combination the central mode couples to, so J3 has the mode matrix
@@ -261,7 +265,7 @@ def _su2_generators(
     c = _raising_modes(params)
     m = -np.outer(c[0], c[0])
     m[0, 0] = sum(g * g for g in params.couplings)
-    return fock.one_body(layout, c), fock.one_body(layout, 0.5 * m)
+    return c, 0.5 * m
 
 
 def algebra_check(params: CouplerParams, layout: ModeLayout) -> float:
@@ -274,23 +278,27 @@ def algebra_check(params: CouplerParams, layout: ModeLayout) -> float:
     fixed.  Both sides are homogeneous in g (degree 2 in the first relation,
     3 in the others), so they are checked on the unit couplings g / ||g||:
     the residual is scale free, and no coupling large enough to overflow
-    kappa or a commutator reaches them.  Returns the largest Frobenius norm of
-    the three residuals; each residual is block diagonal, so the norm covers
-    every block K = 0..n_max.
+    kappa or a commutator reaches them.  Each relation is checked on every
+    block K = 0..n_max; its residual is the Frobenius norm over all blocks,
+    sqrt(sum_K ||r_K||^2), and the largest of the three is returned.
     """
     _check_layout(params, layout)
     norm = params.coupling_norm
     unit = replace(params, couplings=tuple(g / norm for g in params.couplings))
-    j_plus, j3 = _su2_generators(unit, layout)
-    j_minus = j_plus.conj().T
+    plus_modes, j3_modes = _su2_generators(unit)
     kappa = sum(g * g for g in unit.couplings)
 
     def comm(x, y):
         return x @ y - y @ x
 
-    residuals = (
-        comm(j_plus, j_minus) - 2.0 * j3,
-        comm(j3, j_plus) - kappa * j_plus,
-        comm(j3, j_minus) + kappa * j_minus,
-    )
-    return finite_max([np.linalg.norm(r) for r in residuals], "algebra residual")
+    squares = np.zeros(3)
+    for k in range(layout.n_max + 1):
+        j_plus, j3 = fock.one_body(plus_modes, k), fock.one_body(j3_modes, k)
+        j_minus = j_plus.conj().T
+        residuals = (
+            comm(j_plus, j_minus) - 2.0 * j3,
+            comm(j3, j_plus) - kappa * j_plus,
+            comm(j3, j_minus) + kappa * j_minus,
+        )
+        squares += [np.linalg.norm(r) ** 2 for r in residuals]
+    return finite_max(np.sqrt(squares), "algebra residual")

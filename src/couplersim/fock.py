@@ -1,13 +1,14 @@
-"""Excitation-bounded multimode Fock space: indexing, one-body operators, blocks.
+"""Excitation blocks of a multimode Fock space and one-body operators on them.
 
 Every operator the coupler forms is a one-body operator: the image
 sum_ij m[i, j] a_i^dag a_j of an M x M mode matrix m, which conserves the
-total excitation K = n_0 + ... + n_{M-1}.  The basis is therefore the set of
-occupation tuples with K <= n_max, ordered by K and, inside one K,
-lexicographically.  A one-body operator maps this space into itself, so its
-matrix, and every sum and product of such matrices, is exact: no matrix
-element is dropped.  Mode 0 is the central waveguide mode; the outer modes
-follow in order.
+total excitation K = n_0 + ... + n_{M-1}.  Such an operator is block diagonal
+in K, so it is built one block at a time: one_body(m, k) is its block K, a
+dense square on the C(K + M - 1, M - 1) occupation tuples of total K, ordered
+lexicographically.  A one-body operator maps each block into itself, so a
+block, and every sum and product of blocks, is exact: no matrix element is
+dropped.  A layout holds the blocks K = 0..n_max.  Mode 0 is the central
+waveguide mode; the outer modes follow in order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ __all__ = [
     "LayoutMismatch",
     "ModeLayout",
     "one_body",
-    "excitation_blocks",
+    "block_occupations",
 ]
 
 
@@ -34,11 +35,11 @@ class FockError(ValueError):
 
 
 class OccupationOutOfRange(FockError):
-    """An occupation tuple has a negative entry or a total above n_max."""
+    """An occupation tuple needed by a computation has a total above n_max."""
 
 
 class LengthMismatch(FockError):
-    """A mode matrix or occupation list does not match the layout."""
+    """A mode matrix is not square."""
 
 
 class LayoutMismatch(FockError):
@@ -60,33 +61,8 @@ class ModeLayout:
 
     @property
     def dim(self) -> int:
-        """Number of basis states, C(n_max + mode_count, mode_count)."""
+        """Number of states in the blocks K = 0..n_max, C(n_max + mode_count, mode_count)."""
         return math.comb(self.n_max + self.mode_count, self.mode_count)
-
-    def flat_index(self, occupations) -> int:
-        """Basis index of an occupation tuple."""
-        occ = tuple(int(n) for n in occupations)
-        if len(occ) != self.mode_count:
-            raise LengthMismatch(
-                f"expected {self.mode_count} occupations, got {len(occ)}"
-            )
-        try:
-            return _basis(self.mode_count, self.n_max)[1][occ]
-        except KeyError:
-            raise OccupationOutOfRange(
-                f"occupations {occ} are outside the basis: need every n >= 0 "
-                f"and a total <= n_max = {self.n_max}"
-            ) from None
-
-    def occupations(self, index: int) -> tuple[int, ...]:
-        """Occupation tuple of a basis index."""
-        if not 0 <= index < self.dim:
-            raise FockError(f"index {index} outside 0..{self.dim - 1}")
-        return tuple(int(n) for n in self.occupation_table()[index])
-
-    def occupation_table(self) -> np.ndarray:
-        """(dim, mode_count) integer array; row i holds the occupations of index i."""
-        return _basis(self.mode_count, self.n_max)[0]
 
 
 def _compositions(total: int, parts: int):
@@ -100,51 +76,47 @@ def _compositions(total: int, parts: int):
 
 
 @lru_cache(maxsize=None)
-def _basis(mode_count: int, n_max: int) -> tuple[np.ndarray, dict]:
-    """Occupation table and its inverse lookup {occupations: index}."""
-    rows = [occ for k in range(n_max + 1) for occ in _compositions(k, mode_count)]
+def _block(mode_count: int, k: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Occupation table of block K and its one-quantum moves (dst, src, i, j, element).
+
+    For i != j, a_i^dag a_j takes basis state src, occupations n, to dst with
+    element sqrt((n_i + 1) n_j).
+    """
+    if k < 0:
+        raise FockError(f"need an excitation K >= 0, got {k}")
+    rows = list(_compositions(k, mode_count))
+    index = {occ: s for s, occ in enumerate(rows)}
     table = np.array(rows, dtype=np.int64)
-    table.setflags(write=False)
-    return table, {occ: i for i, occ in enumerate(rows)}
+    i, j = np.nonzero(~np.eye(mode_count, dtype=bool))  # every mode pair i != j
+    src, pair = np.nonzero(table[:, j] > 0)
+    i, j = i[pair], j[pair]
+    unit = np.eye(mode_count, dtype=np.int64)
+    moved = table[src] + unit[i] - unit[j]
+    dst = np.array([index[tuple(occ)] for occ in moved.tolist()], dtype=np.intp)
+    moves = (dst, src, i, j, np.sqrt((table[src, i] + 1) * table[src, j]))
+    for a in (table, *moves):
+        a.setflags(write=False)
+    return table, moves
 
 
-def one_body(layout: ModeLayout, m) -> np.ndarray:
-    """sum_ij m[i, j] a_i^dag a_j, the Fock-space image of a mode matrix.
+def block_occupations(mode_count: int, k: int) -> np.ndarray:
+    """Occupations of the basis states of block K, one row each, in lexicographic order."""
+    return _block(mode_count, k)[0]
 
-    m is a mode_count x mode_count matrix; the result is a dense complex
-    (dim, dim) matrix.  a_i^dag a_j moves one quantum from mode j to mode i,
-    with element sqrt((n_i + 1) n_j) from |n> to |n - e_j + e_i> (n_i read
-    after the quantum has left mode j), and a_i^dag a_i is n_i.  Each
-    unordered pair of modes is walked once: a_j^dag a_i is the transpose of
-    a_i^dag a_j.  Distinct terms fill distinct entries, so every entry is one
-    coefficient times one element.
+
+def one_body(m, k: int) -> np.ndarray:
+    """Block K of sum_ij m[i, j] a_i^dag a_j, the Fock-space image of a mode matrix.
+
+    m is an M x M matrix; the result is a dense complex square on the basis
+    block_occupations(M, k).  a_i^dag a_i is n_i, on the diagonal; each move
+    of a quantum fills its own entry, so every entry is one coefficient times
+    one element.
     """
     m = np.asarray(m)
-    shape = (layout.mode_count, layout.mode_count)
-    if m.shape != shape:
-        raise LengthMismatch(f"mode matrix of shape {m.shape}, expected {shape}")
-    table, index = _basis(layout.mode_count, layout.n_max)
-    out = np.zeros((layout.dim, layout.dim), dtype=complex)
-    out[np.diag_indices(layout.dim)] = table @ np.diag(m)
-    for i in range(layout.mode_count):
-        for j in range(i + 1, layout.mode_count):
-            if m[i, j] == 0 and m[j, i] == 0:
-                continue
-            src = np.flatnonzero(table[:, j] > 0)
-            moved = table[src].copy()
-            moved[:, j] -= 1
-            values = np.sqrt((moved[:, i] + 1) * table[src, j])
-            moved[:, i] += 1
-            dst = [index[tuple(occ)] for occ in moved.tolist()]
-            out[dst, src] = m[i, j] * values
-            out[src, dst] = m[j, i] * values
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or len(m) == 0:
+        raise LengthMismatch(f"mode matrix of shape {m.shape}, expected a nonempty square")
+    table, (dst, src, i, j, element) = _block(len(m), k)
+    out = np.zeros((len(table), len(table)), dtype=complex)
+    out[np.diag_indices(len(table))] = table @ np.diag(m)
+    out[dst, src] = m[i, j] * element
     return out
-
-
-def excitation_blocks(layout: ModeLayout) -> list[tuple[int, np.ndarray]]:
-    """Index ranges of the blocks K = 0..n_max, ascending in K.
-
-    Every one_body operator is block diagonal with respect to this partition.
-    """
-    totals = layout.occupation_table().sum(axis=1)
-    return [(k, np.flatnonzero(totals == k)) for k in range(layout.n_max + 1)]

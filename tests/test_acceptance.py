@@ -193,8 +193,11 @@ def test_criterion_7_small_t_generator():
     for propagator in (exact_propagator, factorized_propagator):
         plus = propagator(params, layout, delta)
         minus = propagator(params, layout, -delta)
-        derivatives.append((plus - minus) / (2.0 * delta))
-    deviation = float(np.linalg.norm(derivatives[0] - derivatives[1]))
+        derivatives.append([(p - m) / (2.0 * delta) for p, m in zip(plus, minus)])
+    # Frobenius norm over all blocks K = 0..n_max
+    deviation = math.sqrt(
+        sum(np.linalg.norm(e - f) ** 2 for e, f in zip(*derivatives))
+    )
     passed = deviation <= 1e-6
     report(
         "criterion 7 (small-time generator match)",

@@ -25,7 +25,7 @@ from couplersim.gates import (
     relative_phase_3,
 )
 
-from helpers import random_unitary
+from helpers import block_states, random_unitary, tensor_one_body, tensor_totals
 
 
 def equal_params(n_outer, g, w, n_max):
@@ -187,18 +187,32 @@ class TestScanTimes:
             scan_times(params, params.layout(), 0.5, 1.0, 1, tol=0.1)
 
 
+def computational_restriction(params, t):
+    """U(t) on the occupation-0/1 states in binary order, entry by entry from its blocks.
+
+    Entries between inputs of different excitation are zero.
+    """
+    modes = params.n_outer + 1
+    blocks = exact_propagator(params, params.layout(), t)
+    codes = list(np.ndindex(*(2,) * modes))
+    r = np.zeros((len(codes), len(codes)), dtype=complex)
+    for a, out in enumerate(codes):
+        for b, inp in enumerate(codes):
+            k = sum(inp)
+            if sum(out) == k:
+                states = block_states(modes, k)
+                r[a, b] = blocks[k][states.index(out), states.index(inp)]
+    return r
+
+
 def reference_scan(params, t_min, t_max, steps, tol):
-    """Per-point oracle: slice the full exact propagator at every grid point."""
-    layout = params.layout()
-    modes = layout.mode_count
-    comp = [
-        layout.flat_index([(code >> (modes - 1 - b)) & 1 for b in range(modes)])
-        for code in range(2**modes)
-    ]
+    """Per-point oracle: read the exact propagator's blocks at every grid point."""
+    modes = params.n_outer + 1
     candidates = family_gates(modes)
+    comp = range(2**modes)
     hits = []
     for t in np.linspace(t_min, t_max, steps):
-        r = exact_propagator(params, layout, float(t))[np.ix_(comp, comp)]
+        r = computational_restriction(params, float(t))
         if np.linalg.norm(r.conj().T @ r - np.eye(len(comp))) > tol:
             continue
         dist, label = min((np.linalg.norm(r - c.matrix), c.label) for c in candidates)
@@ -251,10 +265,9 @@ class TestScanOracle:
     def test_extract_gate_matches_propagator_slice(self):
         params = equal_params(2, 0.8, 0.9, 3)
         layout = params.layout()
-        comp = [layout.flat_index(bits) for bits in np.ndindex(2, 2, 2)]
         for t in (0.0, 0.37, 2.9):
             gate, leakage = extract_gate(params, layout, t)
-            r = exact_propagator(params, layout, t)[np.ix_(comp, comp)]
+            r = computational_restriction(params, t)
             assert np.linalg.norm(gate.matrix - r) <= 1e-12
             assert leakage == pytest.approx(
                 np.linalg.norm(r.conj().T @ r - np.eye(8)), abs=1e-12
@@ -262,6 +275,7 @@ class TestScanOracle:
 
     @pytest.mark.parametrize("steps", [2, 500, 3000])
     def test_hamiltonian_built_and_diagonalized_once(self, monkeypatch, steps):
+        # one build, then one eigh per block K = 0..N+1
         counts = {"build": 0, "eigh": 0}
         original_build, original_eigh = coupler.build_hamiltonian, np.linalg.eigh
 
@@ -276,9 +290,9 @@ class TestScanOracle:
         monkeypatch.setattr(coupler, "build_hamiltonian", counting_build)
         monkeypatch.setattr(analysis, "build_hamiltonian", counting_build)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        params = equal_params(1, 1.0, 0.5, 2)
+        params = equal_params(1, 1.0, 0.5, 4)
         scan_times(params, params.layout(), 0.1, 13.0, steps, tol=0.05)
-        assert counts == {"build": 1, "eigh": 1}
+        assert counts == {"build": 1, "eigh": 3}
 
     @pytest.mark.parametrize(
         "t_min, t_max, tol",
@@ -330,10 +344,11 @@ class TestSchmidt:
         # Schmidt across the central/outer cut of a coupler state; one quantum
         # stays in the occupation-0/1 states, read out in register order
         params = equal_params(1, 1.0, 0.5, 2)
-        layout = params.layout()
-        u = exact_propagator(params, layout, 0.4)
-        psi = u[:, layout.flat_index((1, 0))]
-        register = psi[[layout.flat_index(bits) for bits in np.ndindex(2, 2)]]
+        u = exact_propagator(params, params.layout(), 0.4)[1]
+        states = block_states(2, 1)
+        psi = u[:, states.index((1, 0))]
+        # |00> and |11> lie in the blocks K = 0 and 2, which one quantum never reaches
+        register = np.array([0.0, psi[states.index((0, 1))], psi[states.index((1, 0))], 0.0])
         assert np.linalg.norm(register) == pytest.approx(1.0, abs=1e-12)
         svals, _ = schmidt(register, 1)
         # Rabi transfer entangles the two modes at a generic time
@@ -341,12 +356,21 @@ class TestSchmidt:
 
 
 def test_propagator_conserves_total_number():
+    # exp(-i t H) on the tensor product of 3 levels per mode, built with
+    # np.kron outside the package, commutes with the total number, and its
+    # block of total K is the exact propagator's block K.
     params = equal_params(2, 0.8, 0.9, 2)
-    layout = params.layout()
-    n_tot = np.diag(layout.occupation_table().sum(axis=1))
+    g = np.zeros((3, 3))
+    g[0, 1:] = params.couplings
+    evals, vecs = np.linalg.eigh(tensor_one_body(params.w * np.eye(3) + g + g.T, 3))
+    totals = tensor_totals(3, 3)
+    n_tot = np.diag(totals)
     for t in (0.3, 1.1, 2.7):
-        u = exact_propagator(params, layout, t)
+        u = (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
         assert np.linalg.norm(u @ n_tot - n_tot @ u) <= 1e-10
+        for k, block in enumerate(exact_propagator(params, params.layout(), t)):
+            idx = np.flatnonzero(totals == k)
+            assert np.linalg.norm(u[np.ix_(idx, idx)] - block) <= 1e-10
 
 
 def test_random_product_state_respects_floor(rng):

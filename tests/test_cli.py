@@ -118,6 +118,22 @@ class TestTruthTable:
         assert "outside the basis" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("truth-table", "--n-outer", "2", "--nmax", "2"),
+            ("truth-table", "--n-outer", "3", "--g", "0.3", "0.9", "-0.5", "--nmax", "3"),
+            ("scan", "--nmax", "1"),
+        ],
+        ids=" ".join,
+    )
+    def test_truncation_guard_below_the_all_ones_input(self, capsys, argv):
+        # n_max < N + 1 cuts off the all-ones input: refused, not reported
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "outside the basis" in err
+
+    @pytest.mark.parametrize(
         "couplings", [("1", "-1"), ("0.3", "0.9", "-0.5")], ids=" ".join
     )
     def test_unequal_couplings(self, capsys, couplings):
@@ -292,19 +308,31 @@ class TestNonFiniteInputs:
         assert code == 2
         assert "NaN" not in out and "passed" not in out
 
+    @pytest.mark.parametrize("g", ["9e9", "1e160"])
+    def test_huge_coupling_is_refused(self, capsys, g):
+        # The float spacing at sqrt(gamma) = g exceeds the pole limit, so the
+        # distance to a pole, and with it the factorization, is meaningless.
+        code, out, err = run(capsys, "verify", "--g", g)
+        assert code == 2
+        assert out == ""
+        assert "float spacing" in err
+
     def test_huge_coupling_gives_a_finite_report(self, capsys):
-        # The su(2) relations are checked on g / ||g||, so kappa ~ 1e320 and
-        # commutators of 1e160-sized generators are never formed.
-        code, out, err = run(capsys, "verify", "--g", "1e160")
-        assert code == 1
-        report = json.loads(out)
-        assert report["results"]["algebra"]["residual"] <= 1e-12
-        assert report["results"]["factorization"]["sqrt_gamma"] == 1e160
-        assert err == ""
+        # Below the spacing limit the distance to a pole is resolved; the
+        # product loses digits at these angles, which is a finite report of a
+        # failed check.  The su(2) relations are checked on g / ||g||.
+        for g in ("1e9", "8e9"):
+            code, out, err = run(capsys, "verify", "--g", g)
+            assert code == 1
+            report = json.loads(out)
+            assert report["results"]["factorization"]["sqrt_gamma"] == float(g)
+            assert report["results"]["algebra"]["residual"] <= 1e-12
+            assert err == ""
 
     @staticmethod
     def _nan_propagator(params, layout, t):
-        return np.full((layout.dim, layout.dim), np.nan, dtype=complex)
+        sizes = [math.comb(k + layout.mode_count - 1, k) for k in range(layout.n_max + 1)]
+        return [np.full((n, n), np.nan, dtype=complex) for n in sizes]
 
     def test_nan_factorization_distance_is_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(coupler, "exact_propagator", self._nan_propagator)
@@ -314,8 +342,8 @@ class TestNonFiniteInputs:
         assert "factorization block distance is not finite" in err
 
     def test_nan_algebra_residual_is_refused(self, capsys, monkeypatch):
-        def nan_generators(params, layout):
-            nan = np.full((layout.dim, layout.dim), np.nan, dtype=complex)
+        def nan_generators(params):
+            nan = np.full((params.n_outer + 1,) * 2, np.nan, dtype=complex)
             return nan, nan
 
         monkeypatch.setattr(coupler, "_su2_generators", nan_generators)

@@ -21,6 +21,8 @@ from couplersim.coupler import (
 from couplersim.engine import expm_nilpotent, is_unitary
 from couplersim.fock import LayoutMismatch
 
+from helpers import block_states, tensor_one_body, tensor_totals
+
 
 def params_and_layout(n_outer, g, w, n_max):
     params = CouplerParams.equal_coupling(n_outer, g, w, n_max)
@@ -59,23 +61,21 @@ class TestHamiltonian:
     def test_interaction_only_n1(self):
         params, layout = params_and_layout(1, 1.0, 0.0, 1)
         h = build_hamiltonian(params, layout)
-        expected = np.zeros((3, 3))
-        expected[1, 2] = expected[2, 1] = 1.0
-        assert_allclose(h, expected, atol=1e-15)
+        assert len(h) == 2
+        assert_allclose(h[0], [[0.0]], atol=1e-15)
+        assert_allclose(h[1], [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
     def test_free_part_is_total_number(self):
         # a fully decoupled configuration is rejected, so use a negligible g
         params = CouplerParams(n_outer=1, w=1.0, couplings=(1e-30,), n_max=1)
         h = build_hamiltonian(params, params.layout())
-        assert_allclose(h, np.diag([0, 1, 1]).astype(complex), atol=1e-25)
+        assert_allclose(h[0], [[0.0]], atol=1e-25)
+        assert_allclose(h[1], np.eye(2, dtype=complex), atol=1e-25)
 
     def test_single_excitation_spectrum_n2(self):
         g, w = 0.7, 1.1
         params, layout = params_and_layout(2, g, w, 2)
-        h = build_hamiltonian(params, layout)
-        blocks = dict(fock.excitation_blocks(layout))
-        idx = blocks[1]
-        got = np.linalg.eigvalsh(h[np.ix_(idx, idx)])
+        got = np.linalg.eigvalsh(build_hamiltonian(params, layout)[1])
         # independent 3x3 oracle in the |100>,|010>,|001> basis
         oracle = np.linalg.eigvalsh(
             np.array([[w, g, g], [g, w, 0], [g, 0, w]], dtype=complex)
@@ -88,13 +88,10 @@ class TestHamiltonian:
     def test_hermitian_block_diagonal_resonant(self):
         params = CouplerParams(n_outer=2, w=0.9, couplings=(0.5, -0.8), n_max=2)
         layout = params.layout()
-        h = build_hamiltonian(params, layout)
-        assert np.linalg.norm(h - h.conj().T) <= 1e-12
-        totals = layout.occupation_table().sum(axis=1)
-        assert np.abs(h[totals[:, None] != totals[None, :]]).max() == 0.0
-        h_free = params.w * np.diag(layout.occupation_table().sum(axis=1))
-        h_int = h - h_free
-        assert np.linalg.norm(h_free @ h_int - h_int @ h_free) <= 1e-12
+        # On block K the free part is w K, the whole diagonal on resonance.
+        for k, h in enumerate(build_hamiltonian(params, layout)):
+            assert np.linalg.norm(h - h.conj().T) <= 1e-12
+            assert_allclose(np.diag(h), params.w * k, rtol=0, atol=1e-15)
 
     def test_layout_mismatch(self):
         params, _ = params_and_layout(1, 1.0, 0.5, 2)
@@ -107,22 +104,24 @@ class TestHamiltonian:
 class TestExactPropagator:
     def test_identity_at_t0(self):
         params, layout = params_and_layout(2, 0.8, 1.0, 2)
-        assert_allclose(
-            exact_propagator(params, layout, 0.0), np.eye(layout.dim), atol=1e-14
-        )
+        blocks = exact_propagator(params, layout, 0.0)
+        assert [len(u) for u in blocks] == [1, 3, 6]
+        for u in blocks:
+            assert_allclose(u, np.eye(len(u)), atol=1e-14)
 
     def test_two_qubit_phase_rows(self):
         # at t = 2 pi with w = 1/2 the odd-weight inputs flip sign
         params, layout = params_and_layout(1, 1.0, 0.5, 3)
         u = exact_propagator(params, layout, 2.0 * math.pi)
-        one_zero = np.eye(layout.dim)[layout.flat_index((1, 0))]
-        assert_allclose(u @ one_zero, -one_zero, atol=1e-12)
-        one_one = np.eye(layout.dim)[layout.flat_index((1, 1))]
-        assert_allclose(u @ one_one, one_one, atol=1e-12)
+        one_zero = np.eye(2)[block_states(2, 1).index((1, 0))]
+        assert_allclose(u[1] @ one_zero, -one_zero, atol=1e-12)
+        one_one = np.eye(3)[block_states(2, 2).index((1, 1))]
+        assert_allclose(u[2] @ one_one, one_one, atol=1e-12)
 
     def test_unitary(self):
         params, layout = params_and_layout(2, 0.6, 0.9, 2)
-        assert is_unitary(exact_propagator(params, layout, 1.7), 1e-10)
+        for u in exact_propagator(params, layout, 1.7):
+            assert is_unitary(u, 1e-10)
 
 
 class TestFactorCoefficients:
@@ -162,6 +161,17 @@ class TestFactorCoefficients:
             factor_coefficients(params, sqrt_gamma)
         assert err.value.margin <= 1e-6
 
+    def test_unresolvable_distance_to_the_pole(self):
+        # From sqrt(gamma) = 2^33 on the float spacing exceeds the 1e-6 limit,
+        # so no margin from a pole can be told apart from zero.
+        params, _ = params_and_layout(1, 1.0, 0.0, 1)
+        assert factor_coefficients(params, 8e9).sqrt_gamma == 8e9
+        for sqrt_gamma in (2.0**33, 9e9, 1e160):
+            with pytest.raises(NearSingularity, match="float spacing") as err:
+                factor_coefficients(params, sqrt_gamma)
+            assert err.value.sqrt_gamma == sqrt_gamma
+            assert "within" not in str(err.value)
+
     def test_singularity_margin_values(self):
         assert singularity_margin(math.pi) == pytest.approx(0.0, abs=1e-15)
         assert singularity_margin(0.0) == pytest.approx(math.pi)
@@ -172,34 +182,41 @@ class TestFactorCoefficients:
 class TestFactorizedPropagator:
     def test_identity_at_t0(self):
         params, layout = params_and_layout(1, 1.0, 0.7, 2)
-        assert_allclose(
-            factorized_propagator(params, layout, 0.0),
-            np.eye(layout.dim),
-            atol=1e-14,
-        )
+        blocks = factorized_propagator(params, layout, 0.0)
+        assert [len(u) for u in blocks] == [1, 2, 3]
+        for u in blocks:
+            assert_allclose(u, np.eye(len(u)), atol=1e-14)
 
     def test_free_phase_only_at_full_period(self):
         # sqrt(gamma) = 2 pi kills both interaction coefficients
         params, layout = params_and_layout(1, 1.0, 0.37, 2)
         t = 2.0 * math.pi
-        u = factorized_propagator(params, layout, t)
-        totals = layout.occupation_table().sum(axis=1)
-        assert_allclose(u, np.diag(np.exp(-1j * params.w * t * totals)), atol=1e-12)
+        for k, u in enumerate(factorized_propagator(params, layout, t)):
+            assert_allclose(u, np.exp(-1j * params.w * t * k) * np.eye(k + 1), atol=1e-12)
 
     def test_single_excitation_block_closed_form(self):
         # w = 0, g t = pi/2: the one-excitation block is [[0, -i], [-i, 0]]
         params, layout = params_and_layout(1, 1.0, 0.0, 2)
         u = factorized_propagator(params, layout, math.pi / 2.0)
-        idx = dict(fock.excitation_blocks(layout))[1]
-        assert_allclose(
-            u[np.ix_(idx, idx)], np.array([[0, -1j], [-1j, 0]]), atol=1e-13
-        )
+        assert_allclose(u[1], np.array([[0, -1j], [-1j, 0]]), atol=1e-13)
 
     def test_factors_conserve_excitation(self):
+        # The three factors formed on the tensor product of 3 levels per mode,
+        # with np.kron outside the package, keep every total: their product
+        # has no mass between different totals, and its block of total K is
+        # the factorized block K.
         params, layout = params_and_layout(2, 0.9, 1.1, 2)
-        u = factorized_propagator(params, layout, 0.8)
-        totals = layout.occupation_table().sum(axis=1)
-        assert np.abs(u[totals[:, None] != totals[None, :]]).max() <= 1e-14
+        t = 0.8
+        f, h, _ = factor_coefficients(params, t)
+        raising = tensor_one_body(_raising_modes(params), 3)
+        outer = expm_nilpotent(-1j * t * f * raising)
+        middle = expm_nilpotent(-1j * t * h * raising.T)
+        totals = tensor_totals(3, 3)
+        product = np.exp(-1j * t * params.w * totals)[:, None] * (outer @ middle @ outer)
+        assert np.abs(product[totals[:, None] != totals[None, :]]).max() <= 1e-14
+        for k, u in enumerate(factorized_propagator(params, layout, t)):
+            idx = np.flatnonzero(totals == k)
+            assert np.abs(product[np.ix_(idx, idx)] - u).max() <= 1e-14
 
 
 class TestVerifyFactorization:
@@ -228,14 +245,24 @@ class TestVerifyFactorization:
         report = verify_factorization(params, params.layout(), 1.3)
         assert report.max_block_distance <= 1e-8
 
+    def test_six_outer_modes(self):
+        # dim 330 over blocks of at most 210 states
+        params = CouplerParams(
+            n_outer=6, w=0.8, couplings=(0.4, -0.7, 0.2, 0.9, -0.3, 0.5), n_max=4
+        )
+        layout = params.layout()
+        report = verify_factorization(params, layout, 1.1, tol=1e-8)
+        assert report.passed
+        assert [k for k, _ in report.block_distances] == [0, 1, 2, 3, 4]
+        assert algebra_check(params, layout) <= 1e-12
+
     def test_interaction_periodicity(self):
         # sqrt(N) g t in 2 pi Z restores the free evolution on every block
         params, layout = params_and_layout(2, 0.8, 0.55, 3)
         t = 2.0 * math.pi / (0.8 * math.sqrt(2.0))
-        u = exact_propagator(params, layout, t)
-        for k, idx in fock.excitation_blocks(layout):
-            free = np.exp(-1j * t * params.w * k) * np.eye(len(idx))
-            assert np.linalg.norm(u[np.ix_(idx, idx)] - free) <= 1e-9
+        for k, u in enumerate(exact_propagator(params, layout, t)):
+            free = np.exp(-1j * t * params.w * k) * np.eye(len(u))
+            assert np.linalg.norm(u - free) <= 1e-9
 
     def test_small_t_generator(self):
         # Central finite difference of both propagators at t = 0 agree, which
@@ -246,11 +273,16 @@ class TestVerifyFactorization:
         for prop in (exact_propagator, factorized_propagator):
             plus = prop(params, layout, delta)
             minus = prop(params, layout, -delta)
-            fd.append((plus - minus) / (2.0 * delta))
-        assert np.linalg.norm(fd[0] - fd[1]) <= 1e-6
-        # both differences carry O(delta^2) truncation against the generator itself
+            fd.append([(p - m) / (2.0 * delta) for p, m in zip(plus, minus)])
         h = build_hamiltonian(params, layout)
-        assert np.linalg.norm(fd[0] - (-1j) * h) <= 1e-5
+
+        def norm(blocks):
+            # Frobenius norm over all blocks
+            return math.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks))
+
+        assert norm([e - f for e, f in zip(*fd)]) <= 1e-6
+        # both differences carry O(delta^2) truncation against the generator itself
+        assert norm([e - (-1j) * hk for e, hk in zip(fd[0], h)]) <= 1e-5
 
 
 class TestAlgebraCheck:
@@ -270,19 +302,30 @@ class TestAlgebraCheck:
         params = CouplerParams(n_outer=2, w=0.5, couplings=(0.3, -0.9), n_max=3)
         layout = params.layout()
         eps = -1j * t
-        j_plus, j3 = _su2_generators(params, layout)
-        l_plus, l_minus, l3 = eps * j_plus, eps * j_plus.conj().T, eps**2 * j3
+        plus_modes, j3_modes = _su2_generators(params)
         kappa = eps**2 * sum(g * g for g in params.couplings)
 
         def comm(x, y):
             return x @ y - y @ x
 
-        residual = max(
-            np.linalg.norm(comm(l_plus, l_minus) - 2.0 * l3),
-            np.linalg.norm(comm(l3, l_plus) - kappa * l_plus),
-            np.linalg.norm(comm(l3, l_minus) + kappa * l_minus),
-        )
+        # Frobenius norms over all blocks K = 0..n_max
+        squares = np.zeros(3)
+        for k in range(layout.n_max + 1):
+            j_plus, j3 = fock.one_body(plus_modes, k), fock.one_body(j3_modes, k)
+            l_plus, l_minus, l3 = eps * j_plus, eps * j_plus.conj().T, eps**2 * j3
+            squares += [
+                np.linalg.norm(comm(l_plus, l_minus) - 2.0 * l3) ** 2,
+                np.linalg.norm(comm(l3, l_plus) - kappa * l_plus) ** 2,
+                np.linalg.norm(comm(l3, l_minus) + kappa * l_minus) ** 2,
+            ]
+        residual = math.sqrt(squares.max())
         assert residual / max(1.0, t**3) <= 1e-12
+
+    def test_huge_couplings_are_scale_free(self):
+        # Checked on g / ||g||, so kappa ~ 1e320 and commutators of
+        # 1e160-sized generators are never formed.
+        params = CouplerParams(n_outer=2, w=0.7, couplings=(1e160, -3e160), n_max=3)
+        assert algebra_check(params, params.layout()) <= 1e-12
 
     def test_wrong_sign_fails(self, monkeypatch):
         # J3 with the opposite sign breaks every relation by O(1), so the
@@ -290,8 +333,8 @@ class TestAlgebraCheck:
         params = CouplerParams(n_outer=2, w=0.5, couplings=(0.3, 0.9), n_max=3)
         right = coupler._su2_generators
 
-        def flipped(p, layout):
-            j_plus, j3 = right(p, layout)
+        def flipped(p):
+            j_plus, j3 = right(p)
             return j_plus, -j3
 
         monkeypatch.setattr(coupler, "_su2_generators", flipped)
@@ -304,12 +347,18 @@ class TestAlgebraCheck:
 
 
 def test_factorized_interaction_factor_is_block_diagonal():
+    # exp(eps f A+) on the np.kron tensor product of 3 levels per mode: its
+    # series keeps every entry between different totals exactly zero, and
+    # its block of total K is the series of the block A+_K.
     params, layout = params_and_layout(2, 0.7, 1.0, 2)
-
-    raising = fock.one_body(layout, _raising_modes(params))
-    factor = expm_nilpotent(-1j * 0.9 * 0.5 * raising)
-    totals = layout.occupation_table().sum(axis=1)
+    coefficient = -1j * 0.9 * 0.5
+    factor = expm_nilpotent(coefficient * tensor_one_body(_raising_modes(params), 3))
+    totals = tensor_totals(3, 3)
     assert np.abs(factor[totals[:, None] != totals[None, :]]).max() == 0.0
+    for k in range(layout.n_max + 1):
+        idx = np.flatnonzero(totals == k)
+        block = expm_nilpotent(coefficient * fock.one_body(_raising_modes(params), k))
+        assert np.abs(factor[np.ix_(idx, idx)] - block).max() <= 1e-15
 
 
 def tensor_product_hamiltonian(params):
@@ -344,13 +393,13 @@ def test_hamiltonian_blocks_match_tensor_product(params):
     layout = params.layout()
     h = build_hamiltonian(params, layout)
     oracle = tensor_product_hamiltonian(params)
-    d, modes = params.n_max + 1, layout.mode_count
-    weights = d ** np.arange(modes - 1, -1, -1)
-    table = layout.occupation_table()
-    tensor_totals = np.indices((d,) * modes).reshape(modes, -1).sum(axis=0)
-    for k, idx in fock.excitation_blocks(layout):
-        tensor_idx = table[idx] @ weights
-        # the tensor-product block K holds exactly the states of block K
-        assert sorted(tensor_idx) == list(np.flatnonzero(tensor_totals == k))
-        block = oracle[np.ix_(tensor_idx, tensor_idx)] - h[np.ix_(idx, idx)]
-        assert np.abs(block).max() <= 1e-15
+    totals = tensor_totals(layout.mode_count, params.n_max + 1)
+    # The oracle conserves excitation: no entry joins different totals.
+    assert np.abs(oracle[totals[:, None] != totals[None, :]]).max() == 0.0
+    assert len(h) == params.n_max + 1
+    for k, block in enumerate(h):
+        # States of total K in ascending tensor index are in lexicographic
+        # order, the order of block K.
+        idx = np.flatnonzero(totals == k)
+        assert block.shape == (len(idx), len(idx))
+        assert np.abs(oracle[np.ix_(idx, idx)] - block).max() <= 1e-15

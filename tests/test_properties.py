@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,8 +41,6 @@ def test_random_coupler(case):
     report = verify_factorization(params, layout, t, tol=1e-8)
     assert report.passed
     assert [k for k, _ in report.block_distances] == list(range(params.n_max + 1))
-    u = exact_propagator(params, layout, t)
-    assert is_unitary(u, 1e-10)
-    n_tot = np.diag(layout.occupation_table().sum(axis=1))
-    assert np.linalg.norm(u @ n_tot - n_tot @ u) <= 1e-10
+    for u in exact_propagator(params, layout, t):
+        assert is_unitary(u, 1e-10)
     assert algebra_check(params, layout) <= 1e-12
