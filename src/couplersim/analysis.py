@@ -3,12 +3,14 @@
 Bridges the Fock-space propagator and the qubit gate family: finds the
 interaction times at which the coupler acts as a pure phase pattern, tabulates
 that pattern, extracts the effective gate, and quantifies entanglement via
-Schmidt spectra, building only the excitation blocks K <= N+1 that hold the
-occupation-0/1 inputs.  The gate times have a closed form for any couplings:
-the one-mode coupling matrix has eigenvalues +-||g|| and 0, so the
-interaction is the identity at t = 2 pi k / ||g||.  Qubit states travel as
-rows: random product states are drawn as a (count, 2^n) stack and schmidt
-decomposes a whole stack with one SVD.
+Schmidt spectra.  truth_table, extract_gate and scan_times build the
+excitation blocks K <= N+1 that hold the occupation-0/1 inputs from N alone,
+so they have no truncation to choose and never read n_max.  The gate times
+have a closed form for any couplings: the one-mode coupling matrix has
+eigenvalues +-||g|| and 0, so the interaction is the identity at
+t = 2 pi k / ||g||.  Qubit states travel as rows: random product states are
+drawn as a (count, 2^n) stack and schmidt decomposes a whole stack with one
+SVD.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .coupler import (
     factorized_propagator,
 )
 from .engine import eigh_hermitian, finite_max
-from .fock import ModeLayout, OccupationOutOfRange, block_occupations
+from .fock import ModeLayout, block_occupations
 from .gates import (
     QubitGate,
     control_c_phase,
@@ -156,19 +158,14 @@ class TruthTable:
 def _computational_space(
     params: CouplerParams, layout: ModeLayout
 ) -> tuple[CouplerParams, np.ndarray, np.ndarray, np.ndarray]:
-    """params cut to the blocks K <= M, the occupation-0/1 states, their K and places.
+    """params set to the blocks K <= M, the occupation-0/1 states, their K and places.
 
     The (2^M, M) states come in binary order, mode 0 most significant; each
-    state's position is inside its block K, K its number of ones.  Raises
-    OccupationOutOfRange when n_max < M: the all-ones input is then cut off.
+    state's position is inside its block K, K its number of ones.  The blocks
+    follow from M alone, so the layout's n_max is not read.
     """
     _check_layout(params, layout)
     modes = layout.mode_count
-    if layout.n_max < modes:
-        raise OccupationOutOfRange(
-            f"occupations {(1,) * modes} are outside the basis: their total "
-            f"{modes} exceeds n_max = {layout.n_max}"
-        )
     shifts = np.arange(modes - 1, -1, -1)
     bits = (np.arange(2**modes)[:, None] >> shifts) & 1
     position = np.empty(2**modes, dtype=np.intp)

@@ -1,9 +1,12 @@
 """Command-line front end emitting machine-readable verification reports.
 
-Each subcommand takes only the flags it reads.  Exit codes: 0 all checks
-passed, 1 a numeric check failed, 2 configuration or precondition error,
-including a flag the subcommand does not take.  Reports go to stdout (or
---out); diagnostics to stderr.  Reports are byte-stable for identical
+Each subcommand takes only the flags it reads, and each setting has one
+owner: --nmax, the highest excitation block, belongs to verify alone, since
+truth-table and scan build the blocks K <= N+1 from N.  The parser is built
+once, at import, and refuses a non-finite float flag.  Exit codes: 0 all
+checks passed, 1 a numeric check failed, 2 configuration or precondition
+error, including a flag the subcommand does not take.  Reports go to stdout
+(or --out); diagnostics to stderr.  Reports are byte-stable for identical
 configuration.  A worst case that is not finite is refused with exit 2.
 gates checks the entanglement dichotomy on --samples random product states
 per gate, drawn, applied and decomposed as one stack.
@@ -30,20 +33,27 @@ _DICHOTOMY_SEED = 1
 _PRODUCT_TOL = 1e-10
 _ENTANGLED_MIN = 0.05
 
-# Float flags that must be finite when given; --w and --g are checked by
-# CouplerParams.
-_FINITE_FLAGS = ("time", "tol", "t_min", "t_max", "theta")
+
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _couplings_from_args(args) -> tuple[float, ...]:
     g = args.g if args.g is not None else [1.0]
     if len(g) == 1:
-        return (float(g[0]),) * args.n_outer
+        return (g[0],) * args.n_outer
     if len(g) != args.n_outer:
         raise ValueError(
             f"--g takes 1 or {args.n_outer} values for --n-outer {args.n_outer}, got {len(g)}"
         )
-    return tuple(float(x) for x in g)
+    return tuple(g)
 
 
 def _default_w(couplings: tuple[float, ...], k: int) -> float:
@@ -53,26 +63,22 @@ def _default_w(couplings: tuple[float, ...], k: int) -> float:
     return math.hypot(*couplings) / (2.0 * k)
 
 
-def _coupler_setup(args) -> tuple[coupler.CouplerParams, dict]:
+def _coupler_setup(args, n_max: int = 1) -> tuple[coupler.CouplerParams, dict]:
     """CouplerParams from the coupler flags, and the report's config for them.
 
-    An unset --w takes the lowest gate-compatible frequency and an unset
-    --nmax takes N + 1, the least that holds every computational input;
-    verify sets its own defaults in the parser, so only truth-table and
-    scan, which have --k, reach the gate-compatible default.
+    An unset --w takes the lowest gate-compatible frequency; verify sets its
+    own default in the parser, so only truth-table and scan, which have --k,
+    reach it.  Only verify passes n_max: truth-table and scan build the
+    blocks K <= N+1 from N alone and never read it.
     """
     couplings = _couplings_from_args(args)
     w = args.w if args.w is not None else _default_w(couplings, args.k)
-    n_max = args.nmax if args.nmax is not None else args.n_outer + 1
-    params = coupler.CouplerParams(
-        n_outer=args.n_outer, w=w, couplings=couplings, n_max=n_max
-    )
+    params = coupler.CouplerParams(w=w, couplings=couplings, n_max=n_max)
     config = {
         "command": args.command,
         "n_outer": args.n_outer,
         "couplings": list(couplings),
         "w": w,
-        "n_max": n_max,
         "tol": args.tol,
     }
     return params, config
@@ -105,8 +111,8 @@ def _csv_text(rows: list[list]) -> str:
 
 
 def cmd_verify(args) -> int:
-    params, config = _coupler_setup(args)
-    config["t"] = args.time
+    params, config = _coupler_setup(args, args.nmax)
+    config.update(n_max=args.nmax, t=args.time)
     layout = params.layout()
     report = coupler.verify_factorization(params, layout, args.time, tol=args.tol)
     algebra_residual = coupler.algebra_check(params, layout)
@@ -172,7 +178,6 @@ def cmd_gates(args) -> int:
         "command": "gates",
         "theta": theta,
         "samples": args.samples,
-        "tol": args.tol,
     }
     decomposition = gates.compose(
         [gates.control_phase_shift(), gates.swap_gate(),
@@ -237,13 +242,10 @@ def _add_coupler(parser: argparse.ArgumentParser) -> None:
     """The flags _coupler_setup reads."""
     parser.add_argument("--n-outer", type=int, default=1, help="number of outer modes N")
     parser.add_argument(
-        "--g", type=float, nargs="+", default=None,
+        "--g", type=_finite_float, nargs="+", default=None,
         help="coupling(s); one value is broadcast to all outer modes",
     )
-    parser.add_argument("--w", type=float, default=None, help="mode angular frequency")
-    parser.add_argument(
-        "--nmax", type=int, default=None, help="highest excitation block K checked"
-    )
+    parser.add_argument("--w", type=_finite_float, default=None, help="mode angular frequency")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,30 +258,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="factorization and algebra residuals")
     _add_coupler(p_verify)
-    p_verify.add_argument("--time", type=float, default=1.0, help="interaction time")
-    p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.set_defaults(func=cmd_verify, w=0.7, nmax=3)
+    p_verify.add_argument(
+        "--nmax", type=int, default=3, help="highest excitation block K checked"
+    )
+    p_verify.add_argument("--time", type=_finite_float, default=1.0, help="interaction time")
+    p_verify.add_argument("--tol", type=_finite_float, default=1e-8)
+    p_verify.set_defaults(func=cmd_verify, w=0.7)
 
     p_table = sub.add_parser("truth-table", help="computational-basis phase table")
     _add_coupler(p_table)
     p_table.add_argument(
-        "--time", type=float, default=None, help="interaction time (default: the gate time)"
+        "--time", type=_finite_float, default=None,
+        help="interaction time (default: the gate time)",
     )
-    p_table.add_argument("--tol", type=float, default=1e-9)
+    p_table.add_argument("--tol", type=_finite_float, default=1e-9)
     p_table.add_argument("--method", choices=("exact", "factorized"), default="exact")
     p_table.set_defaults(func=cmd_truth_table)
 
     p_gates = sub.add_parser("gates", help="print the gate family and its identities")
-    p_gates.add_argument("--tol", type=float, default=1e-10)
-    p_gates.add_argument("--theta", type=float, default=None)
+    p_gates.add_argument("--theta", type=_finite_float, default=None)
     p_gates.add_argument("--samples", type=int, default=100)
     p_gates.set_defaults(func=cmd_gates)
 
     p_scan = sub.add_parser("scan", help="locate gate times on a grid")
     _add_coupler(p_scan)
-    p_scan.add_argument("--tol", type=float, default=0.05)
-    p_scan.add_argument("--t-min", type=float, default=0.1)
-    p_scan.add_argument("--t-max", type=float, default=13.0)
+    p_scan.add_argument("--tol", type=_finite_float, default=0.05)
+    p_scan.add_argument("--t-min", type=_finite_float, default=0.1)
+    p_scan.add_argument("--t-max", type=_finite_float, default=13.0)
     p_scan.add_argument("--steps", type=int, default=5000)
     p_scan.set_defaults(func=cmd_scan)
 
@@ -293,17 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_finite_flags(args) -> None:
-    for name in _FINITE_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        _require_finite_flags(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

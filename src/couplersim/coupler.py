@@ -81,31 +81,24 @@ class NearSingularity(ValueError):
 
 @dataclass(frozen=True)
 class CouplerParams:
-    """Coupler configuration: N outer modes, frequency w, couplings g_1..g_N.
+    """Coupler configuration: frequency w, couplings g_1..g_N, highest block n_max.
 
-    w and the couplings are finite reals, at least one coupling nonzero;
-    hbar = 1 throughout.
+    N is the number of couplings.  w and the couplings are finite reals, at
+    least one coupling nonzero; hbar = 1 throughout.
     """
 
-    n_outer: int
     w: float
     couplings: tuple[float, ...]
     n_max: int
 
     def __post_init__(self) -> None:
-        if self.n_outer < 1:
-            raise ValueError(f"need at least one outer mode, got {self.n_outer}")
         gs = tuple(float(g) for g in self.couplings)
-        if len(gs) != self.n_outer:
-            raise ValueError(
-                f"expected {self.n_outer} couplings, got {len(gs)}"
-            )
         if not all(math.isfinite(g) for g in gs):
             raise ValueError("couplings must be finite and real")
         if not math.isfinite(self.w):
             raise ValueError(f"w must be finite, got {self.w}")
-        if all(g == 0.0 for g in gs):
-            raise ValueError("at least one coupling must be nonzero")
+        if not any(gs):
+            raise ValueError(f"need at least one nonzero coupling, got {gs}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be at least 1, got {self.n_max}")
         object.__setattr__(self, "couplings", gs)
@@ -114,7 +107,11 @@ class CouplerParams:
     @classmethod
     def equal_coupling(cls, n_outer: int, g: float, w: float, n_max: int) -> "CouplerParams":
         """Convenience constructor for the g_j = g (for all j) case."""
-        return cls(n_outer=n_outer, w=w, couplings=(g,) * n_outer, n_max=n_max)
+        return cls(w=w, couplings=(g,) * n_outer, n_max=n_max)
+
+    @property
+    def n_outer(self) -> int:
+        return len(self.couplings)
 
     def layout(self) -> ModeLayout:
         return ModeLayout(mode_count=self.n_outer + 1, n_max=self.n_max)
@@ -173,20 +170,18 @@ class FactorCoefficients(NamedTuple):
     sqrt_gamma: float
 
 
-def factor_coefficients(
-    params: CouplerParams, t: float, delta_sing: float = DELTA_SINGULARITY
-) -> FactorCoefficients:
+def factor_coefficients(params: CouplerParams, t: float) -> FactorCoefficients:
     """tan- and sinc-type coefficients at interaction angle sqrt(gamma).
 
-    Raises NearSingularity when sqrt(gamma) is within delta_sing of an odd
-    multiple of pi, where the tan coefficient diverges, and when the float
-    spacing at sqrt(gamma) exceeds delta_sing (from sqrt(gamma) = 2^33 on at
-    the default), where that distance cannot be resolved.
+    Raises NearSingularity when sqrt(gamma) is within DELTA_SINGULARITY of an
+    odd multiple of pi, where the tan coefficient diverges, and when the float
+    spacing at sqrt(gamma) exceeds DELTA_SINGULARITY (from sqrt(gamma) = 2^33
+    on), where that distance cannot be resolved.
     """
     sg = params.sqrt_gamma(t)
     margin = singularity_margin(sg)
-    if margin <= delta_sing or math.ulp(sg) > delta_sing:
-        raise NearSingularity(sg, margin, delta_sing)
+    if margin <= DELTA_SINGULARITY or math.ulp(sg) > DELTA_SINGULARITY:
+        raise NearSingularity(sg, margin, DELTA_SINGULARITY)
     if sg < _SERIES_CROSSOVER:
         f = 0.5 + sg**2 / 24.0 + sg**4 / 240.0
         h = 1.0 - sg**2 / 6.0 + sg**4 / 120.0

@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "FockError",
-    "OccupationOutOfRange",
     "LengthMismatch",
     "LayoutMismatch",
     "ModeLayout",
@@ -32,10 +31,6 @@ __all__ = [
 
 class FockError(ValueError):
     """Base class for Fock-space contract violations."""
-
-
-class OccupationOutOfRange(FockError):
-    """An occupation tuple needed by a computation has a total above n_max."""
 
 
 class LengthMismatch(FockError):

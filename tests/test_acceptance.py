@@ -67,9 +67,7 @@ def test_criterion_1_factorization_equivalence():
         for n_max in (2, 3):
             for _ in range(DRAWS_PER_CASE):
                 gs, w, t = draw_admissible(rng, n_outer)
-                params = CouplerParams(
-                    n_outer=n_outer, w=w, couplings=gs, n_max=n_max
-                )
+                params = CouplerParams(w=w, couplings=gs, n_max=n_max)
                 result = verify_factorization(params, params.layout(), t, tol=1e-8)
                 worst = max(worst, result.max_block_distance)
                 cases += 1
@@ -170,10 +168,10 @@ def test_criterion_5_entanglement_dichotomy():
 
 def test_criterion_6_algebra_residual():
     configs = [
-        CouplerParams(n_outer=1, w=0.5, couplings=(1.0,), n_max=4),
-        CouplerParams(n_outer=1, w=1.0, couplings=(0.6,), n_max=3),
-        CouplerParams(n_outer=2, w=0.9, couplings=(0.8, 0.8), n_max=3),
-        CouplerParams(n_outer=2, w=0.5, couplings=(0.3, 0.9), n_max=3),
+        CouplerParams(w=0.5, couplings=(1.0,), n_max=4),
+        CouplerParams(w=1.0, couplings=(0.6,), n_max=3),
+        CouplerParams(w=0.9, couplings=(0.8, 0.8), n_max=3),
+        CouplerParams(w=0.5, couplings=(0.3, 0.9), n_max=3),
     ]
     worst = max(algebra_check(params, params.layout()) for params in configs)
     passed = worst <= 1e-12
@@ -186,7 +184,7 @@ def test_criterion_6_algebra_residual():
 
 
 def test_criterion_7_small_t_generator():
-    params = CouplerParams(n_outer=2, w=1.3, couplings=(0.9, 0.4), n_max=2)
+    params = CouplerParams(w=1.3, couplings=(0.9, 0.4), n_max=2)
     layout = params.layout()
     delta = 1e-4
     derivatives = []

@@ -17,7 +17,6 @@ from couplersim.analysis import (
     truth_table,
 )
 from couplersim.coupler import CouplerParams, exact_propagator
-from couplersim.fock import OccupationOutOfRange
 from couplersim.gates import (
     QubitGate,
     control_c_phase,
@@ -67,7 +66,7 @@ class TestGateTime:
         # t = 2 pi / ||g|| whatever the individual couplings are.
         gs = (0.3, 0.9, -0.5)
         norm = math.sqrt(sum(g * g for g in gs))
-        params = CouplerParams(n_outer=3, w=norm / 2.0, couplings=gs, n_max=4)
+        params = CouplerParams(w=norm / 2.0, couplings=gs, n_max=4)
         spec = gate_time(params)
         assert spec.t == pytest.approx(2.0 * math.pi / norm, abs=1e-12)
         assert spec.m == 0
@@ -116,14 +115,6 @@ class TestTruthTable:
         assert table.leakage <= 1e-12
         for row in table.rows:
             assert row.phase == pytest.approx(1.0, abs=1e-12)
-
-    def test_truncation_guard(self):
-        # n_max = 1 holds no state with both modes excited
-        params = equal_params(1, 1.0, 0.5, 1)
-        with pytest.raises(OccupationOutOfRange):
-            truth_table(params, params.layout(), 1.0)
-        with pytest.raises(OccupationOutOfRange):
-            scan_times(params, params.layout(), 0.1, 13.0, 100, tol=0.05)
 
     def test_serialization(self):
         params = equal_params(1, 1.0, 0.5, 2)
@@ -187,6 +178,25 @@ class TestScanTimes:
             scan_times(params, params.layout(), 0.5, 1.0, 1, tol=0.1)
 
 
+@pytest.mark.parametrize("n_outer", [1, 2])
+def test_computational_results_do_not_read_n_max(n_outer):
+    # The occupation-0/1 inputs fill the blocks K <= N+1, built from N alone,
+    # so n_max = 1 gives the same bits as n_max = N+1.
+    low, full = (equal_params(n_outer, 1.0, math.sqrt(n_outer) / 2.0, n) for n in (1, n_outer + 1))
+    for t in (1.7, gate_time(full).t):
+        for method in ("exact", "factorized"):
+            assert truth_table(low, low.layout(), t, method) == truth_table(
+                full, full.layout(), t, method
+            )
+        (gate_low, leak_low), (gate_full, leak_full) = (
+            extract_gate(p, p.layout(), t) for p in (low, full)
+        )
+        assert np.array_equal(gate_low.matrix, gate_full.matrix)
+        assert leak_low == leak_full
+    hits = [scan_times(p, p.layout(), 0.1, 10.0, 400, tol=0.05) for p in (low, full)]
+    assert hits[0] and hits[0] == hits[1]
+
+
 def computational_restriction(params, t):
     """U(t) on the occupation-0/1 states in binary order, entry by entry from its blocks.
 
@@ -233,9 +243,7 @@ class TestScanOracle:
             (equal_params(2, 1.0, math.sqrt(2) / 2.0, 3), 3.0, 6.0, 300),
             # Unequal couplings: the interaction winds back at t = 2 pi / ||g||.
             (
-                CouplerParams(
-                    n_outer=2, w=math.sqrt(0.9) / 2.0, couplings=(0.3, 0.9), n_max=3
-                ),
+                CouplerParams(w=math.sqrt(0.9) / 2.0, couplings=(0.3, 0.9), n_max=3),
                 5.5,
                 7.5,
                 257,

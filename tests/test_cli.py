@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -110,28 +112,6 @@ class TestTruthTable:
         assert report["config"]["t"] == pytest.approx(2.0 * math.pi, abs=1e-12)
         assert report["config"]["w"] == pytest.approx(0.5, abs=1e-15)
         assert report["passed"] is True
-
-    def test_nmax_below_mode_count_is_config_error(self, capsys):
-        code, out, err = run(capsys, "truth-table", "--nmax", "1")
-        assert code == 2
-        assert out == ""
-        assert "outside the basis" in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("truth-table", "--n-outer", "2", "--nmax", "2"),
-            ("truth-table", "--n-outer", "3", "--g", "0.3", "0.9", "-0.5", "--nmax", "3"),
-            ("scan", "--nmax", "1"),
-        ],
-        ids=" ".join,
-    )
-    def test_truncation_guard_below_the_all_ones_input(self, capsys, argv):
-        # n_max < N + 1 cuts off the all-ones input: refused, not reported
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "outside the basis" in err
 
     @pytest.mark.parametrize(
         "couplings", [("1", "-1"), ("0.3", "0.9", "-0.5")], ids=" ".join
@@ -261,9 +241,7 @@ class TestScan:
         assert code == 0
         report = json.loads(out)
         cfg = report["config"]
-        params = CouplerParams(
-            n_outer=2, w=cfg["w"], couplings=tuple(cfg["couplings"]), n_max=cfg["n_max"]
-        )
+        params = CouplerParams(w=cfg["w"], couplings=tuple(cfg["couplings"]), n_max=1)
         t_gate = gate_time(params).t
         hits = report["results"]["hits"]
         assert hits
@@ -285,11 +263,12 @@ class TestNonFiniteInputs:
             ("verify", "--time"),
             ("verify", "--tol"),
             ("verify", "--w"),
+            ("verify", "--g"),
             ("truth-table", "--time"),
             ("truth-table", "--tol"),
             ("truth-table", "--w"),
             ("gates", "--theta"),
-            ("gates", "--tol"),
+            ("scan", "--g"),
             ("scan", "--t-min"),
             ("scan", "--t-max"),
             ("scan", "--tol"),
@@ -377,6 +356,12 @@ class TestNonFiniteInputs:
         assert out == ""
         assert "truth-table max_error is not finite" in err
 
+    def test_unparsable_float_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--g", "1", "x")
+        assert code == 2
+        assert out == ""
+        assert "argument --g: invalid float value: 'x'" in err
+
     def test_report_refuses_nan(self):
         with pytest.raises(ValueError):
             _json_report({}, {"leakage": math.nan}, 0.0, True)
@@ -384,7 +369,14 @@ class TestNonFiniteInputs:
 
 @pytest.mark.parametrize(
     "argv",
-    [("gates", "--g", "1"), ("scan", "--time", "5"), ("verify", "--k", "2")],
+    [
+        ("gates", "--g", "1"),
+        ("gates", "--tol", "1e-3"),
+        ("scan", "--time", "5"),
+        ("scan", "--nmax", "4"),
+        ("truth-table", "--nmax", "1"),
+        ("verify", "--k", "2"),
+    ],
     ids=" ".join,
 )
 def test_flag_the_command_does_not_read_is_usage_error(capsys, argv):
@@ -394,16 +386,16 @@ def test_flag_the_command_does_not_read_is_usage_error(capsys, argv):
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
 
-CORE_CONFIG = {"command", "n_outer", "couplings", "w", "n_max", "tol"}
+CORE_CONFIG = {"command", "n_outer", "couplings", "w", "tol"}
 
 
 @pytest.mark.parametrize(
     "argv,keys",
     [
-        pytest.param(("verify",), CORE_CONFIG | {"t"}, id="verify"),
+        pytest.param(("verify",), CORE_CONFIG | {"n_max", "t"}, id="verify"),
         pytest.param(("truth-table",), CORE_CONFIG | {"k", "format", "t"}, id="truth-table"),
         pytest.param(
-            ("gates", "--samples", "1"), {"command", "theta", "samples", "tol"}, id="gates"
+            ("gates", "--samples", "1"), {"command", "theta", "samples"}, id="gates"
         ),
         pytest.param(
             ("scan", "--t-min", "6", "--t-max", "6.6", "--steps", "50"),
@@ -436,6 +428,46 @@ def test_reports_are_byte_stable(tmp_path):
     assert main(["gates", "--out", str(g_first)]) == 0
     assert main(["gates", "--out", str(g_second)]) == 0
     assert g_first.read_bytes() == g_second.read_bytes()
+
+
+def test_main_parses_with_the_parser_built_at_import(capsys, monkeypatch):
+    def rebuild():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    for _ in range(2):
+        code, out, err = run(capsys, "gates", "--samples", "1")
+        assert code == 0, err
+        assert out
+
+
+def readme_flag_table() -> dict[str, set[str]]:
+    """Command -> flags, from the README table under "takes only the flags it reads"."""
+    section = README.read_text(encoding="utf-8").split("takes only the flags it reads", 1)[1]
+    rows = section.split("\n\n", 2)[1].splitlines()[2:]  # past the header and rule
+    table = {}
+    for row in rows:
+        command, flags = (cell.strip().strip("`") for cell in row.strip("|").split("|"))
+        table[command] = set(re.findall(r"--[\w-]+(?: \{[^}]*\})?", flags))
+    return table
+
+
+def parser_flag_table() -> dict[str, set[str]]:
+    """Command -> flags of each subparser, with their choices as the README writes them."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: {
+            f"{opt} {{{','.join(a.choices)}}}" if a.choices else opt
+            for a in parser._actions
+            for opt in a.option_strings
+            if opt not in ("-h", "--help")
+        }
+        for command, parser in sub.choices.items()
+    }
+
+
+def test_readme_flag_table_matches_the_parser():
+    assert readme_flag_table() == parser_flag_table()
 
 
 def readme_commands() -> list[list[str]]:

@@ -31,29 +31,28 @@ def params_and_layout(n_outer, g, w, n_max):
 
 class TestParams:
     def test_validation(self):
+        with pytest.raises(ValueError, match="nonzero coupling"):
+            CouplerParams(w=1.0, couplings=(), n_max=2)
         with pytest.raises(ValueError):
-            CouplerParams(n_outer=0, w=1.0, couplings=(), n_max=2)
+            CouplerParams(w=1.0, couplings=(0.0, 0.0), n_max=2)
         with pytest.raises(ValueError):
-            CouplerParams(n_outer=2, w=1.0, couplings=(1.0,), n_max=2)
-        with pytest.raises(ValueError):
-            CouplerParams(n_outer=2, w=1.0, couplings=(0.0, 0.0), n_max=2)
-        with pytest.raises(ValueError):
-            CouplerParams(n_outer=1, w=1.0, couplings=(1.0,), n_max=0)
+            CouplerParams(w=1.0, couplings=(1.0,), n_max=0)
 
     @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_frequency(self, w):
         with pytest.raises(ValueError, match="finite"):
-            CouplerParams(n_outer=1, w=w, couplings=(1.0,), n_max=2)
+            CouplerParams(w=w, couplings=(1.0,), n_max=2)
 
     def test_gamma(self):
-        params = CouplerParams(n_outer=2, w=1.0, couplings=(0.3, 0.4), n_max=2)
+        params = CouplerParams(w=1.0, couplings=(0.3, 0.4), n_max=2)
         assert params.sqrt_gamma(2.0) == pytest.approx(1.0)
         assert params.coupling_norm == pytest.approx(0.5)
+        assert params.n_outer == 2
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-320, 1e160, 1e300])
     def test_coupling_norm_without_underflow_or_overflow(self, scale):
         # sum(g^2) underflows to 0 or overflows to inf at these scales
-        params = CouplerParams(n_outer=2, w=1.0, couplings=(3 * scale, -4 * scale), n_max=2)
+        params = CouplerParams(w=1.0, couplings=(3 * scale, -4 * scale), n_max=2)
         assert params.coupling_norm == pytest.approx(5 * scale, rel=1e-15, abs=0)
 
 
@@ -67,7 +66,7 @@ class TestHamiltonian:
 
     def test_free_part_is_total_number(self):
         # a fully decoupled configuration is rejected, so use a negligible g
-        params = CouplerParams(n_outer=1, w=1.0, couplings=(1e-30,), n_max=1)
+        params = CouplerParams(w=1.0, couplings=(1e-30,), n_max=1)
         h = build_hamiltonian(params, params.layout())
         assert_allclose(h[0], [[0.0]], atol=1e-25)
         assert_allclose(h[1], np.eye(2, dtype=complex), atol=1e-25)
@@ -86,7 +85,7 @@ class TestHamiltonian:
         )
 
     def test_hermitian_block_diagonal_resonant(self):
-        params = CouplerParams(n_outer=2, w=0.9, couplings=(0.5, -0.8), n_max=2)
+        params = CouplerParams(w=0.9, couplings=(0.5, -0.8), n_max=2)
         layout = params.layout()
         # On block K the free part is w K, the whole diagonal on resonance.
         for k, h in enumerate(build_hamiltonian(params, layout)):
@@ -241,15 +240,13 @@ class TestVerifyFactorization:
         assert report.max_block_distance <= 1e-14
 
     def test_unequal_couplings(self):
-        params = CouplerParams(n_outer=3, w=0.4, couplings=(0.2, -0.9, 0.5), n_max=2)
+        params = CouplerParams(w=0.4, couplings=(0.2, -0.9, 0.5), n_max=2)
         report = verify_factorization(params, params.layout(), 1.3)
         assert report.max_block_distance <= 1e-8
 
     def test_six_outer_modes(self):
         # dim 330 over blocks of at most 210 states
-        params = CouplerParams(
-            n_outer=6, w=0.8, couplings=(0.4, -0.7, 0.2, 0.9, -0.3, 0.5), n_max=4
-        )
+        params = CouplerParams(w=0.8, couplings=(0.4, -0.7, 0.2, 0.9, -0.3, 0.5), n_max=4)
         layout = params.layout()
         report = verify_factorization(params, layout, 1.1, tol=1e-8)
         assert report.passed
@@ -291,7 +288,7 @@ class TestAlgebraCheck:
         assert algebra_check(params, layout) <= 1e-12
 
     def test_unequal_couplings(self):
-        params = CouplerParams(n_outer=2, w=0.5, couplings=(0.3, 0.9), n_max=3)
+        params = CouplerParams(w=0.5, couplings=(0.3, 0.9), n_max=3)
         assert algebra_check(params, layout=params.layout()) <= 1e-12
 
     @pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
@@ -299,7 +296,7 @@ class TestAlgebraCheck:
         # The paper's scaled generators L+- = eps J+-, L3 = eps^2 J3 obey
         # [L+, L-] = 2 L3 and [L3, L+-] = +-kappa L+- with kappa = eps^2 sum g^2;
         # their residuals grow like the t^3 of the triple products.
-        params = CouplerParams(n_outer=2, w=0.5, couplings=(0.3, -0.9), n_max=3)
+        params = CouplerParams(w=0.5, couplings=(0.3, -0.9), n_max=3)
         layout = params.layout()
         eps = -1j * t
         plus_modes, j3_modes = _su2_generators(params)
@@ -324,13 +321,13 @@ class TestAlgebraCheck:
     def test_huge_couplings_are_scale_free(self):
         # Checked on g / ||g||, so kappa ~ 1e320 and commutators of
         # 1e160-sized generators are never formed.
-        params = CouplerParams(n_outer=2, w=0.7, couplings=(1e160, -3e160), n_max=3)
+        params = CouplerParams(w=0.7, couplings=(1e160, -3e160), n_max=3)
         assert algebra_check(params, params.layout()) <= 1e-12
 
     def test_wrong_sign_fails(self, monkeypatch):
         # J3 with the opposite sign breaks every relation by O(1), so the
         # check can fail on the sign.
-        params = CouplerParams(n_outer=2, w=0.5, couplings=(0.3, 0.9), n_max=3)
+        params = CouplerParams(w=0.5, couplings=(0.3, 0.9), n_max=3)
         right = coupler._su2_generators
 
         def flipped(p):
@@ -383,9 +380,9 @@ def tensor_product_hamiltonian(params):
 @pytest.mark.parametrize(
     "params",
     [
-        CouplerParams(n_outer=1, w=0.7, couplings=(-1.3,), n_max=3),
-        CouplerParams(n_outer=2, w=0.4, couplings=(0.3, -0.9), n_max=3),
-        CouplerParams(n_outer=3, w=1.1, couplings=(-0.2, 0.9, 0.5), n_max=2),
+        CouplerParams(w=0.7, couplings=(-1.3,), n_max=3),
+        CouplerParams(w=0.4, couplings=(0.3, -0.9), n_max=3),
+        CouplerParams(w=1.1, couplings=(-0.2, 0.9, 0.5), n_max=2),
     ],
     ids=["n1", "n2", "n3"],
 )

@@ -22,7 +22,6 @@ couplings = st.floats(0.1, 1.5).flatmap(lambda g: st.sampled_from((g, -g)))
 def couplers(draw):
     n_outer = draw(st.integers(1, 4))
     params = CouplerParams(
-        n_outer=n_outer,
         w=draw(st.floats(-2.0, 2.0)),
         couplings=tuple(draw(st.lists(couplings, min_size=n_outer, max_size=n_outer))),
         n_max=draw(st.integers(1, 3)),
