@@ -43,7 +43,7 @@ from .gates import (
     identity_gate,
     one_qubit_phase,
     relative_phase_2,
-    relative_phase_3,
+    relative_phase_n,
     swap_gate,
 )
 

@@ -3,11 +3,11 @@
 Bridges the Fock-space propagator and the qubit gate family: finds the
 interaction times at which the coupler acts as a pure phase pattern, tabulates
 that pattern, extracts the effective gate, and quantifies entanglement via
-Schmidt spectra.  truth_table, extract_gate and scan_times build the
-excitation blocks K <= N+1 that hold the occupation-0/1 inputs from N alone,
-so they have no truncation to choose and never read n_max.  The gate times
-have a closed form for any couplings: the one-mode coupling matrix has
-eigenvalues +-||g|| and 0, so the interaction is the identity at
+Schmidt spectra.  truth_table, extract_gate and scan_times take the coupler
+alone and no layout: they build the excitation blocks K <= N+1 that hold the
+occupation-0/1 inputs from N, so they have no truncation to choose.  The
+gate times have a closed form for any couplings: the one-mode coupling
+matrix has eigenvalues +-||g|| and 0, so the interaction is the identity at
 t = 2 pi k / ||g||.  Qubit states travel as rows: random product states are
 drawn as a (count, 2^n) stack and schmidt decomposes a whole stack with one
 SVD.
@@ -16,14 +16,13 @@ SVD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .coupler import (
     CouplerParams,
-    _check_layout,
     build_hamiltonian,
     exact_propagator,
     factorized_propagator,
@@ -36,7 +35,7 @@ from .gates import (
     control_phase_shift,
     identity_gate,
     relative_phase_2,
-    relative_phase_3,
+    relative_phase_n,
     swap_gate,
 )
 
@@ -127,45 +126,16 @@ class TruthTable:
     rows: tuple[TruthTableRow, ...]
     leakage: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "input": "".join(str(n) for n in r.occupations),
-                    "phase_re": float(r.phase.real),
-                    "phase_im": float(r.phase.imag),
-                    "fidelity": float(r.fidelity),
-                }
-                for r in self.rows
-            ],
-            "leakage": float(self.leakage),
-        }
-
-    def to_csv_rows(self) -> list[list]:
-        out = [["input", "phase_re", "phase_im", "fidelity"]]
-        for r in self.rows:
-            out.append(
-                [
-                    "".join(str(n) for n in r.occupations),
-                    repr(float(r.phase.real)),
-                    repr(float(r.phase.imag)),
-                    repr(float(r.fidelity)),
-                ]
-            )
-        return out
-
 
 def _computational_space(
-    params: CouplerParams, layout: ModeLayout
-) -> tuple[CouplerParams, np.ndarray, np.ndarray, np.ndarray]:
-    """params set to the blocks K <= M, the occupation-0/1 states, their K and places.
+    params: CouplerParams,
+) -> tuple[ModeLayout, np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks K <= M, the occupation-0/1 states, their K and places.
 
     The (2^M, M) states come in binary order, mode 0 most significant; each
-    state's position is inside its block K, K its number of ones.  The blocks
-    follow from M alone, so the layout's n_max is not read.
+    state's position is inside its block K, K its number of ones.
     """
-    _check_layout(params, layout)
-    modes = layout.mode_count
+    modes = params.n_outer + 1
     shifts = np.arange(modes - 1, -1, -1)
     bits = (np.arange(2**modes)[:, None] >> shifts) & 1
     position = np.empty(2**modes, dtype=np.intp)
@@ -173,18 +143,16 @@ def _computational_space(
         table = block_occupations(modes, k)
         binary = np.flatnonzero(table.max(axis=1) <= 1)
         position[table[binary] @ (1 << shifts)] = binary
-    return replace(params, n_max=modes), bits, bits.sum(axis=1), position
+    return params.layout(modes), bits, bits.sum(axis=1), position
 
 
-def truth_table(
-    params: CouplerParams, layout: ModeLayout, t: float, method: str = "exact"
-) -> TruthTable:
+def truth_table(params: CouplerParams, t: float, method: str = "exact") -> TruthTable:
     """Evolve each computational basis state and record its diagonal phase."""
-    cut, bits, totals, position = _computational_space(params, layout)
+    layout, bits, totals, position = _computational_space(params)
     if method not in ("exact", "factorized"):
         raise ValueError(f"unknown propagator method {method!r}")
     propagator = exact_propagator if method == "exact" else factorized_propagator
-    u = propagator(cut, cut.layout(), t)
+    u = propagator(params, layout, t)
     rows = []
     leakages = []
     for occupations, k, idx in zip(bits, totals, position):
@@ -206,9 +174,7 @@ def truth_table(
     return TruthTable(rows=tuple(rows), leakage=finite_max(leakages, "truth-table leakage"))
 
 
-def _computational_spectrum(
-    params: CouplerParams, layout: ModeLayout
-) -> tuple[np.ndarray, np.ndarray]:
+def _computational_spectrum(params: CouplerParams) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of H and the computational rows V_c of its eigenvectors.
 
     Each block K <= M is diagonalized on its own, so V_c is zero between a
@@ -216,8 +182,8 @@ def _computational_spectrum(
     U(t)[comp, comp] = V_c diag(exp(-i t lambda)) V_c^dag, so one
     decomposition serves any number of interaction times.
     """
-    cut, bits, totals, position = _computational_space(params, layout)
-    spectra = [eigh_hermitian(h) for h in build_hamiltonian(cut, cut.layout())]
+    layout, bits, totals, position = _computational_space(params)
+    spectra = [eigh_hermitian(h) for h in build_hamiltonian(params, layout)]
     evals = np.concatenate([lam for lam, _ in spectra])
     v_comp = np.zeros((len(bits), len(evals)), dtype=complex)
     start = 0
@@ -243,22 +209,24 @@ def _restrictions(
     return restrictions, leakage
 
 
-def extract_gate(
-    params: CouplerParams, layout: ModeLayout, t: float
-) -> tuple[QubitGate, float]:
+def extract_gate(params: CouplerParams, t: float) -> tuple[QubitGate, float]:
     """Restriction of the exact propagator to the computational subspace.
 
     Returns the restriction as a QubitGate (one qubit per mode) together with
     its unitarity defect ||R^dag R - I||_F as the leakage figure.
     """
-    evals, v_comp = _computational_spectrum(params, layout)
+    evals, v_comp = _computational_spectrum(params)
     restrictions, leakage = _restrictions(evals, v_comp, np.array([t], dtype=float))
-    gate = QubitGate(layout.mode_count, restrictions[0], f"extracted(t={t:.6g})")
+    gate = QubitGate(params.n_outer + 1, restrictions[0], f"extracted(t={t:.6g})")
     return gate, float(leakage[0])
 
 
 def family_gates(qubit_count: int) -> list[QubitGate]:
-    """Candidate gates the scanner matches against, per register size."""
+    """Candidate gates the scanner matches against, for 2 or more qubits.
+
+    Every size offers the identity and the parity gate the coupler applies at
+    its gate times; two qubits add the rest of the two-qubit family.
+    """
     candidates = [identity_gate(qubit_count)]
     if qubit_count == 2:
         candidates += [
@@ -267,8 +235,8 @@ def family_gates(qubit_count: int) -> list[QubitGate]:
             control_phase_shift(),
             swap_gate(),
         ]
-    elif qubit_count == 3:
-        candidates.append(relative_phase_3())
+    else:
+        candidates.append(relative_phase_n(qubit_count))
     return candidates
 
 
@@ -279,12 +247,7 @@ class ScanHit(NamedTuple):
 
 
 def scan_times(
-    params: CouplerParams,
-    layout: ModeLayout,
-    t_min: float,
-    t_max: float,
-    steps: int,
-    tol: float,
+    params: CouplerParams, *, t_min: float, t_max: float, steps: int, tol: float
 ) -> list[ScanHit]:
     """Grid search for times where the coupler realizes a family gate.
 
@@ -302,10 +265,10 @@ def scan_times(
         )
     if not t_min < t_max:
         raise ValueError(f"need t_min < t_max, got [{t_min}, {t_max}]")
-    candidates = family_gates(layout.mode_count)
+    candidates = family_gates(params.n_outer + 1)
     labels = [c.label for c in candidates]
     family = np.stack([c.matrix for c in candidates])
-    evals, v_comp = _computational_spectrum(params, layout)
+    evals, v_comp = _computational_spectrum(params)
     grid = np.linspace(t_min, t_max, steps)
     hits = []
     for start in range(0, steps, _SCAN_CHUNK):

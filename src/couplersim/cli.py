@@ -1,9 +1,12 @@
 """Command-line front end emitting machine-readable verification reports.
 
 Each subcommand takes only the flags it reads, and each setting has one
-owner: --nmax, the highest excitation block, belongs to verify alone, since
-truth-table and scan build the blocks K <= N+1 from N.  The parser is built
-once, at import, and refuses a non-finite float flag.  Exit codes: 0 all
+owner: --nmax, the highest excitation block, belongs to verify alone, which
+passes it as its layout; the coupler is (w, couplings), and truth-table and
+scan build the blocks K <= N+1 from N.  Report rows are formatted here only:
+each command builds a list of row dicts, which JSON takes as they are and
+CSV writes under a header, floats as their repr.  The parser is built once,
+at import, and refuses a non-finite float flag.  Exit codes: 0 all
 checks passed, 1 a numeric check failed, 2 configuration or precondition
 error, including a flag the subcommand does not take.  Reports go to stdout
 (or --out); diagnostics to stderr.  Reports are byte-stable for identical
@@ -63,17 +66,16 @@ def _default_w(couplings: tuple[float, ...], k: int) -> float:
     return math.hypot(*couplings) / (2.0 * k)
 
 
-def _coupler_setup(args, n_max: int = 1) -> tuple[coupler.CouplerParams, dict]:
+def _coupler_setup(args) -> tuple[coupler.CouplerParams, dict]:
     """CouplerParams from the coupler flags, and the report's config for them.
 
     An unset --w takes the lowest gate-compatible frequency; verify sets its
     own default in the parser, so only truth-table and scan, which have --k,
-    reach it.  Only verify passes n_max: truth-table and scan build the
-    blocks K <= N+1 from N alone and never read it.
+    reach it.
     """
     couplings = _couplings_from_args(args)
     w = args.w if args.w is not None else _default_w(couplings, args.k)
-    params = coupler.CouplerParams(w=w, couplings=couplings, n_max=n_max)
+    params = coupler.CouplerParams(w=w, couplings=couplings)
     config = {
         "command": args.command,
         "n_outer": args.n_outer,
@@ -103,17 +105,19 @@ def _json_report(config: dict, results: dict, max_error: float, passed: bool) ->
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_text(rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: list[dict]) -> str:
+    """The header line, then one line per row dict; a float is written as its repr."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.DictWriter(buf, header, lineterminator="\n")
+    writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
 
 
 def cmd_verify(args) -> int:
-    params, config = _coupler_setup(args, args.nmax)
+    params, config = _coupler_setup(args)
     config.update(n_max=args.nmax, t=args.time)
-    layout = params.layout()
+    layout = params.layout(args.nmax)
     report = coupler.verify_factorization(params, layout, args.time, tol=args.tol)
     algebra_residual = coupler.algebra_check(params, layout)
     results = {
@@ -133,7 +137,7 @@ def cmd_truth_table(args) -> int:
     params, config = _coupler_setup(args)
     t = args.time if args.time is not None else gate_time(params, k=args.k).t
     config.update(k=args.k, format=args.format, t=t)
-    table = analysis.truth_table(params, params.layout(), t, method=args.method)
+    table = analysis.truth_table(params, t, method=args.method)
     # Phase pattern of the relative gate family: (-1)^K on each input.
     errors = [table.leakage]
     for row in table.rows:
@@ -141,10 +145,19 @@ def cmd_truth_table(args) -> int:
         errors += [abs(row.phase - expected), 1.0 - row.fidelity]
     max_error = finite_max(errors, "truth-table max_error")
     passed = max_error <= args.tol
+    rows = [
+        {
+            "input": "".join(str(n) for n in r.occupations),
+            "phase_re": float(r.phase.real),
+            "phase_im": float(r.phase.imag),
+            "fidelity": float(r.fidelity),
+        }
+        for r in table.rows
+    ]
     if args.format == "csv":
-        _emit(_csv_text(table.to_csv_rows()), args.out)
+        _emit(_csv_text(["input", "phase_re", "phase_im", "fidelity"], rows), args.out)
     else:
-        results = dict(table.to_json_dict(), t=t, method=args.method)
+        results = {"rows": rows, "leakage": float(table.leakage), "t": t, "method": args.method}
         _emit(_json_report(config, results, max_error, passed), args.out)
     return 0 if passed else 1
 
@@ -172,7 +185,7 @@ def cmd_gates(args) -> int:
         gates.control_phase_shift(),
         gates.swap_gate(),
         gates.relative_phase_2(theta),
-        gates.relative_phase_3(),
+        gates.relative_phase_n(3),
     ]
     config = {
         "command": "gates",
@@ -188,11 +201,11 @@ def cmd_gates(args) -> int:
     )
     rng = np.random.default_rng(_DICHOTOMY_SEED)
     rel2_second, _ = _schmidt_extrema(gates.relative_phase_2(math.pi), args.samples, rng)
-    rel3_second, _ = _schmidt_extrema(gates.relative_phase_3(), args.samples, rng)
+    rel3_second, _ = _schmidt_extrema(gates.relative_phase_n(3), args.samples, rng)
     _, cz_second_min = _schmidt_extrema(gates.control_c_phase(), args.samples, rng)
     checks = {
         "decomposition_distance": decomp_dist,
-        "parity_self_test": True,  # relative_phase_3() raises if it fails
+        "parity_self_test": True,  # relative_phase_n() raises if it fails
         "all_unitary": all(is_unitary(g.matrix, 1e-12) for g in family),
         "relative_2_second_coefficient_max": rel2_second,
         "relative_3_second_coefficient_max": rel3_second,
@@ -218,20 +231,19 @@ def cmd_scan(args) -> int:
     params, config = _coupler_setup(args)
     config.update(k=args.k, format=args.format)
     hits = analysis.scan_times(
-        params, params.layout(), args.t_min, args.t_max, args.steps, args.tol
+        params, t_min=args.t_min, t_max=args.t_max, steps=args.steps, tol=args.tol
     )
     # A scan that finds no gate has measured nothing to pass.
     passed = bool(hits)
+    rows = [h._asdict() for h in hits]
     if args.format == "csv":
-        rows = [["t", "label", "distance"]]
-        rows += [[repr(h.t), h.label, repr(h.distance)] for h in hits]
-        _emit(_csv_text(rows), args.out)
+        _emit(_csv_text(list(analysis.ScanHit._fields), rows), args.out)
     else:
         results = {
             "t_min": args.t_min,
             "t_max": args.t_max,
             "steps": args.steps,
-            "hits": [{"t": h.t, "label": h.label, "distance": h.distance} for h in hits],
+            "hits": rows,
         }
         worst = max((h.distance for h in hits), default=0.0)
         _emit(_json_report(config, results, worst, passed), args.out)

@@ -21,13 +21,14 @@ where gamma = t^2 sum_j g_j^2.  Every operator here is the one-body image
 sum_kl m[k, l] c_k^dag c_l (fock.one_body, with c_0 = a and c_j = b_j) of an
 (N+1) x (N+1) mode matrix m: w I + G with G[0, j] = G[j, 0] = g_j for H, row
 0 equal to (0, g_1, ..., g_N) for A+, and (sum_j g_j^2 e_00 - g g^T) / 2 for
-the su(2) generator J3.  Such operators conserve excitation, so each is
-passed as the list of its dense blocks K = 0..n_max of the layout, built
-exactly, and the identity is checked block by block.  f diverges when
-sqrt(gamma) hits an odd multiple of pi, and evaluation is refused near those
-points rather than clamped.  Each factor has a closed form: A+ and A- are
-nilpotent, so their exponentials are finite series, and the free phase
-exp(-i t w K) is one scalar per block.
+the su(2) generator J3.  The coupler is (w, couplings) alone.  Its operators
+conserve excitation, so each is passed as the list of its dense blocks
+K = 0..n_max of a layout, built exactly, and the identity is checked block by
+block; n_max only chooses how many blocks, so any n_max >= 1 fits the
+params.  f diverges when sqrt(gamma) hits an odd multiple of pi, and
+evaluation is refused near those points rather than clamped.  Each factor
+has a closed form: A+ and A- are nilpotent, so their exponentials are finite
+series, and the free phase exp(-i t w K) is one scalar per block.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class NearSingularity(ValueError):
 
 @dataclass(frozen=True)
 class CouplerParams:
-    """Coupler configuration: frequency w, couplings g_1..g_N, highest block n_max.
+    """Coupler configuration: frequency w and couplings g_1..g_N.
 
     N is the number of couplings.  w and the couplings are finite reals, at
     least one coupling nonzero; hbar = 1 throughout.
@@ -89,7 +90,6 @@ class CouplerParams:
 
     w: float
     couplings: tuple[float, ...]
-    n_max: int
 
     def __post_init__(self) -> None:
         gs = tuple(float(g) for g in self.couplings)
@@ -99,22 +99,16 @@ class CouplerParams:
             raise ValueError(f"w must be finite, got {self.w}")
         if not any(gs):
             raise ValueError(f"need at least one nonzero coupling, got {gs}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
         object.__setattr__(self, "couplings", gs)
         object.__setattr__(self, "w", float(self.w))
-
-    @classmethod
-    def equal_coupling(cls, n_outer: int, g: float, w: float, n_max: int) -> "CouplerParams":
-        """Convenience constructor for the g_j = g (for all j) case."""
-        return cls(w=w, couplings=(g,) * n_outer, n_max=n_max)
 
     @property
     def n_outer(self) -> int:
         return len(self.couplings)
 
-    def layout(self) -> ModeLayout:
-        return ModeLayout(mode_count=self.n_outer + 1, n_max=self.n_max)
+    def layout(self, n_max: int) -> ModeLayout:
+        """The blocks K = 0..n_max of the N + 1 modes."""
+        return ModeLayout(mode_count=self.n_outer + 1, n_max=n_max)
 
     @property
     def coupling_norm(self) -> float:
@@ -131,10 +125,11 @@ def singularity_margin(sqrt_gamma: float) -> float:
 
 
 def _check_layout(params: CouplerParams, layout: ModeLayout) -> None:
-    if layout != params.layout():
+    """Any n_max is a valid choice of blocks; the mode count must be N + 1."""
+    if layout.mode_count != params.n_outer + 1:
         raise LayoutMismatch(
-            f"layout ({layout.mode_count} modes, n_max {layout.n_max}) does not "
-            f"match params (N={params.n_outer}, n_max={params.n_max})"
+            f"layout has {layout.mode_count} modes, params N={params.n_outer} need "
+            f"{params.n_outer + 1}"
         )
 
 

@@ -20,7 +20,7 @@ __all__ = [
     "control_phase_shift",
     "swap_gate",
     "relative_phase_2",
-    "relative_phase_3",
+    "relative_phase_n",
     "identity_gate",
     "compose",
 ]
@@ -95,23 +95,21 @@ def relative_phase_2(theta: float) -> QubitGate:
     return QubitGate(2, np.diag([1.0, ph, ph, 1.0]), f"relative_phase_2({theta:g})")
 
 
-def relative_phase_3() -> QubitGate:
-    """|j1,j2,j3> -> e^{i pi (j1 - j2 - j3)} |j1,j2,j3>.
+def relative_phase_n(n: int) -> QubitGate:
+    """|j1,...,jn> -> e^{i pi (j1 - j2 - ... - jn)} |j1,...,jn>, for n >= 3 qubits.
 
     Equivalently -1 on odd-parity basis states and +1 on even-parity ones;
-    the two readings are checked against each other on construction.
+    the two readings are checked against each other on construction.  At
+    n = 2 the same pattern is relative_phase_2(pi).
     """
-    exponent_form = np.empty(8, dtype=complex)
-    parity_form = np.empty(8, dtype=complex)
-    for j1 in (0, 1):
-        for j2 in (0, 1):
-            for j3 in (0, 1):
-                idx = 4 * j1 + 2 * j2 + j3
-                exponent_form[idx] = np.exp(1j * math.pi * (j1 - j2 - j3))
-                parity_form[idx] = -1.0 if (j1 + j2 + j3) % 2 else 1.0
+    if n < 3:
+        raise ValueError(f"relative_phase_n takes n >= 3 qubits, got {n}")
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    exponent_form = np.exp(1j * math.pi * (bits[:, 0] - bits[:, 1:].sum(axis=1)))
+    parity_form = np.where(bits.sum(axis=1) % 2, -1.0, 1.0).astype(complex)
     if not np.allclose(exponent_form, parity_form, atol=1e-14):
-        raise AssertionError("parity self-test failed for the three-qubit gate")
-    return QubitGate(3, np.diag(parity_form), "relative_phase_3")
+        raise AssertionError(f"parity self-test failed for the {n}-qubit gate")
+    return QubitGate(n, np.diag(parity_form), f"relative_phase_{n}")
 
 
 def identity_gate(n: int) -> QubitGate:

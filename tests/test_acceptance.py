@@ -32,7 +32,7 @@ from couplersim.gates import (
     control_c_phase,
     control_phase_shift,
     relative_phase_2,
-    relative_phase_3,
+    relative_phase_n,
     swap_gate,
 )
 
@@ -67,8 +67,8 @@ def test_criterion_1_factorization_equivalence():
         for n_max in (2, 3):
             for _ in range(DRAWS_PER_CASE):
                 gs, w, t = draw_admissible(rng, n_outer)
-                params = CouplerParams(w=w, couplings=gs, n_max=n_max)
-                result = verify_factorization(params, params.layout(), t, tol=1e-8)
+                params = CouplerParams(w=w, couplings=gs)
+                result = verify_factorization(params, params.layout(n_max), t, tol=1e-8)
                 worst = max(worst, result.max_block_distance)
                 cases += 1
     passed = worst <= 1e-8
@@ -83,7 +83,7 @@ def test_criterion_1_factorization_equivalence():
 def _check_phase_table(params, t, expected_by_input, tol):
     worst = 0.0
     for method in ("exact", "factorized"):
-        table = truth_table(params, params.layout(), t, method=method)
+        table = truth_table(params, t, method=method)
         worst = max(worst, table.leakage)
         for row in table.rows:
             expected = expected_by_input[row.occupations]
@@ -92,7 +92,7 @@ def _check_phase_table(params, t, expected_by_input, tol):
 
 
 def test_criterion_2_two_qubit_truth_table():
-    params = CouplerParams.equal_coupling(1, 1.0, 0.5, 2)
+    params = CouplerParams(w=0.5, couplings=(1.0,))
     t = 2.0 * math.pi
     expected = {(0, 0): 1.0, (1, 1): 1.0, (1, 0): -1.0, (0, 1): -1.0}
     worst = _check_phase_table(params, t, expected, 1e-9)
@@ -106,15 +106,15 @@ def test_criterion_2_two_qubit_truth_table():
 
 
 def test_criterion_3_three_qubit_truth_table():
-    params = CouplerParams.equal_coupling(2, 1.0, math.sqrt(2.0) / 2.0, 3)
+    params = CouplerParams(w=math.sqrt(2.0) / 2.0, couplings=(1.0, 1.0))
     t = math.pi * math.sqrt(2.0)
     expected = {}
     for code in range(8):
         bits = ((code >> 2) & 1, (code >> 1) & 1, code & 1)
         expected[bits] = -1.0 if sum(bits) % 2 else 1.0
     worst = _check_phase_table(params, t, expected, 1e-9)
-    gate, _ = extract_gate(params, params.layout(), t)
-    gate_dist = float(np.linalg.norm(gate.matrix - relative_phase_3().matrix))
+    gate, _ = extract_gate(params, t)
+    gate_dist = float(np.linalg.norm(gate.matrix - relative_phase_n(3).matrix))
     passed = worst <= 1e-9 and gate_dist <= 1e-9
     report(
         "criterion 3 (three-qubit truth table)",
@@ -151,7 +151,7 @@ def test_criterion_5_entanglement_dichotomy():
         cz_second_min = min(cz_second_min, float(svals[1]))
     rel3_second = 0.0
     for psi in states3:
-        out = relative_phase_3().apply(psi)
+        out = relative_phase_n(3).apply(psi)
         for cut in (1, 2):
             rel3_second = max(
                 rel3_second, float(schmidt(out, cut).singular_values[1])
@@ -168,12 +168,12 @@ def test_criterion_5_entanglement_dichotomy():
 
 def test_criterion_6_algebra_residual():
     configs = [
-        CouplerParams(w=0.5, couplings=(1.0,), n_max=4),
-        CouplerParams(w=1.0, couplings=(0.6,), n_max=3),
-        CouplerParams(w=0.9, couplings=(0.8, 0.8), n_max=3),
-        CouplerParams(w=0.5, couplings=(0.3, 0.9), n_max=3),
+        (CouplerParams(w=0.5, couplings=(1.0,)), 4),
+        (CouplerParams(w=1.0, couplings=(0.6,)), 3),
+        (CouplerParams(w=0.9, couplings=(0.8, 0.8)), 3),
+        (CouplerParams(w=0.5, couplings=(0.3, 0.9)), 3),
     ]
-    worst = max(algebra_check(params, params.layout()) for params in configs)
+    worst = max(algebra_check(params, params.layout(n_max)) for params, n_max in configs)
     passed = worst <= 1e-12
     report(
         "criterion 6 (commutator algebra residual)",
@@ -184,8 +184,8 @@ def test_criterion_6_algebra_residual():
 
 
 def test_criterion_7_small_t_generator():
-    params = CouplerParams(w=1.3, couplings=(0.9, 0.4), n_max=2)
-    layout = params.layout()
+    params = CouplerParams(w=1.3, couplings=(0.9, 0.4))
+    layout = params.layout(2)
     delta = 1e-4
     derivatives = []
     for propagator in (exact_propagator, factorized_propagator):
@@ -206,8 +206,8 @@ def test_criterion_7_small_t_generator():
 
 
 def test_criterion_8_singularity_refusal():
-    params = CouplerParams.equal_coupling(1, 1.0, 0.5, 2)
-    layout = params.layout()
+    params = CouplerParams(w=0.5, couplings=(1.0,))
+    layout = params.layout(2)
     raised = False
     try:
         factorized_propagator(params, layout, math.pi)

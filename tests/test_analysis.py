@@ -21,32 +21,32 @@ from couplersim.gates import (
     QubitGate,
     control_c_phase,
     relative_phase_2,
-    relative_phase_3,
+    relative_phase_n,
 )
 
 from helpers import block_states, random_unitary, tensor_one_body, tensor_totals
 
 
-def equal_params(n_outer, g, w, n_max):
-    return CouplerParams.equal_coupling(n_outer, g, w, n_max)
+def equal_params(n_outer, g, w):
+    return CouplerParams(w, (g,) * n_outer)
 
 
 class TestGateTime:
     def test_two_qubit_configuration(self):
-        spec = gate_time(equal_params(1, 1.0, 0.5, 2), k=1)
+        spec = gate_time(equal_params(1, 1.0, 0.5), k=1)
         assert spec.t == pytest.approx(2.0 * math.pi, abs=1e-12)
         assert spec.m == 0
 
     def test_three_qubit_configuration(self):
-        spec = gate_time(equal_params(2, 1.0, math.sqrt(2) / 2.0, 3), k=1)
+        spec = gate_time(equal_params(2, 1.0, math.sqrt(2) / 2.0), k=1)
         assert spec.t == pytest.approx(math.pi * math.sqrt(2.0), abs=1e-12)
 
     def test_higher_winding(self):
-        spec = gate_time(equal_params(1, 1.0, 0.25, 2), k=2)
+        spec = gate_time(equal_params(1, 1.0, 0.25), k=2)
         assert spec.t == pytest.approx(4.0 * math.pi, abs=1e-12)
 
     def test_interaction_and_phase_conditions_hold(self):
-        params = equal_params(2, 0.7, 0.7 * math.sqrt(2.0) * 1.5, 2)  # m = 1
+        params = equal_params(2, 0.7, 0.7 * math.sqrt(2.0) * 1.5)  # m = 1
         spec = gate_time(params, k=1)
         assert params.coupling_norm * spec.t == pytest.approx(
             2.0 * math.pi * spec.k, abs=1e-12
@@ -54,23 +54,23 @@ class TestGateTime:
         assert params.w * spec.t == pytest.approx((2 * spec.m + 1) * math.pi, abs=1e-12)
 
     def test_negative_coupling_gives_forward_time(self):
-        spec = gate_time(equal_params(1, -1.0, 0.5, 2), k=1)
+        spec = gate_time(equal_params(1, -1.0, 0.5), k=1)
         assert spec.t == pytest.approx(2.0 * math.pi, abs=1e-12)
 
     def test_free_phase_mismatch(self):
         with pytest.raises(FreePhaseMismatch):
-            gate_time(equal_params(1, 1.0, 1.0 / 3.0, 2), k=1)
+            gate_time(equal_params(1, 1.0, 1.0 / 3.0), k=1)
 
     def test_unequal_couplings(self):
         # G has eigenvalues +-||g|| and 0, so the interaction winds back at
         # t = 2 pi / ||g|| whatever the individual couplings are.
         gs = (0.3, 0.9, -0.5)
         norm = math.sqrt(sum(g * g for g in gs))
-        params = CouplerParams(w=norm / 2.0, couplings=gs, n_max=4)
+        params = CouplerParams(w=norm / 2.0, couplings=gs)
         spec = gate_time(params)
         assert spec.t == pytest.approx(2.0 * math.pi / norm, abs=1e-12)
         assert spec.m == 0
-        table = truth_table(params, params.layout(), spec.t)
+        table = truth_table(params, spec.t)
         assert table.leakage <= 1e-9
         for row in table.rows:
             sign = -1.0 if sum(row.occupations) % 2 else 1.0
@@ -78,18 +78,18 @@ class TestGateTime:
 
     def test_bad_winding(self):
         with pytest.raises(ValueError):
-            gate_time(equal_params(1, 1.0, 0.5, 2), k=0)
+            gate_time(equal_params(1, 1.0, 0.5), k=0)
 
     def test_overflowing_time_is_refused(self):
         # ||g|| = 1e-320 is subnormal, so 2 pi / ||g|| is inf
         with pytest.raises(ValueError, match="not finite"):
-            gate_time(equal_params(1, 1e-320, 0.5, 2))
+            gate_time(equal_params(1, 1e-320, 0.5))
 
 
 class TestTruthTable:
     def test_two_qubit_table(self):
-        params = equal_params(1, 1.0, 0.5, 2)
-        table = truth_table(params, params.layout(), gate_time(params).t)
+        params = equal_params(1, 1.0, 0.5)
+        table = truth_table(params, gate_time(params).t)
         assert table.leakage <= 1e-10
         by_input = {r.occupations: r for r in table.rows}
         assert set(by_input) == {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -99,10 +99,10 @@ class TestTruthTable:
             assert row.phase == pytest.approx(sign, abs=1e-10)
 
     def test_three_qubit_table_both_methods(self):
-        params = equal_params(2, 1.0, math.sqrt(2) / 2.0, 3)
+        params = equal_params(2, 1.0, math.sqrt(2) / 2.0)
         t = gate_time(params).t
         for method in ("exact", "factorized"):
-            table = truth_table(params, params.layout(), t, method=method)
+            table = truth_table(params, t, method=method)
             assert table.leakage <= 1e-9
             for row in table.rows:
                 sign = -1.0 if sum(row.occupations) % 2 else 1.0
@@ -110,39 +110,30 @@ class TestTruthTable:
                 assert row.phase == pytest.approx(sign, abs=1e-9)
 
     def test_zero_time(self):
-        params = equal_params(1, 1.0, 0.5, 2)
-        table = truth_table(params, params.layout(), 0.0)
+        params = equal_params(1, 1.0, 0.5)
+        table = truth_table(params, 0.0)
         assert table.leakage <= 1e-12
         for row in table.rows:
             assert row.phase == pytest.approx(1.0, abs=1e-12)
 
-    def test_serialization(self):
-        params = equal_params(1, 1.0, 0.5, 2)
-        table = truth_table(params, params.layout(), gate_time(params).t)
-        blob = table.to_json_dict()
-        assert [r["input"] for r in blob["rows"]] == ["00", "01", "10", "11"]
-        csv_rows = table.to_csv_rows()
-        assert csv_rows[0] == ["input", "phase_re", "phase_im", "fidelity"]
-        assert len(csv_rows) == 5
-
 
 class TestExtractGate:
     def test_two_qubit_gate(self):
-        params = equal_params(1, 1.0, 0.5, 2)
-        gate, leakage = extract_gate(params, params.layout(), gate_time(params).t)
+        params = equal_params(1, 1.0, 0.5)
+        gate, leakage = extract_gate(params, gate_time(params).t)
         assert leakage <= 1e-9
         assert_allclose(gate.matrix, np.diag([1, -1, -1, 1]), atol=1e-9)
         assert np.linalg.norm(gate.matrix - relative_phase_2(math.pi).matrix) <= 1e-9
 
     def test_three_qubit_gate(self):
-        params = equal_params(2, 1.0, math.sqrt(2) / 2.0, 3)
-        gate, leakage = extract_gate(params, params.layout(), gate_time(params).t)
+        params = equal_params(2, 1.0, math.sqrt(2) / 2.0)
+        gate, leakage = extract_gate(params, gate_time(params).t)
         assert leakage <= 1e-9
-        assert np.linalg.norm(gate.matrix - relative_phase_3().matrix) <= 1e-9
+        assert np.linalg.norm(gate.matrix - relative_phase_n(3).matrix) <= 1e-9
 
     def test_generic_time_leaks_and_matches_nothing(self):
-        params = equal_params(1, 1.0, 0.5, 2)
-        gate, leakage = extract_gate(params, params.layout(), 0.3)
+        params = equal_params(1, 1.0, 0.5)
+        gate, leakage = extract_gate(params, 0.3)
         assert leakage > 0.01
         for candidate in family_gates(2):
             assert np.linalg.norm(gate.matrix - candidate.matrix) > 0.1
@@ -150,8 +141,8 @@ class TestExtractGate:
 
 class TestScanTimes:
     def test_two_qubit_hits(self):
-        params = equal_params(1, 1.0, 0.5, 2)
-        hits = scan_times(params, params.layout(), 0.1, 13.0, 5000, tol=0.05)
+        params = equal_params(1, 1.0, 0.5)
+        hits = scan_times(params, t_min=0.1, t_max=13.0, steps=5000, tol=0.05)
         assert hits == sorted(hits, key=lambda h: h.t)
         relative = [h for h in hits if h.label.startswith("relative_phase_2")]
         identity = [h for h in hits if h.label == "identity"]
@@ -160,41 +151,27 @@ class TestScanTimes:
         assert min(abs(h.t - 4.0 * math.pi) for h in identity) < 0.05
 
     def test_three_qubit_hit(self):
-        params = equal_params(2, 1.0, math.sqrt(2) / 2.0, 3)
-        hits = scan_times(params, params.layout(), 3.0, 6.0, 1500, tol=0.05)
+        params = equal_params(2, 1.0, math.sqrt(2) / 2.0)
+        hits = scan_times(params, t_min=3.0, t_max=6.0, steps=1500, tol=0.05)
         rel3 = [h for h in hits if h.label == "relative_phase_3"]
         assert rel3
         assert min(abs(h.t - math.pi * math.sqrt(2.0)) for h in rel3) < 0.05
 
     def test_tight_tolerance_gives_no_hits(self):
-        params = equal_params(1, 1.0, 0.5, 2)
-        assert scan_times(params, params.layout(), 0.1, 13.0, 5000, tol=1e-12) == []
+        params = equal_params(1, 1.0, 0.5)
+        assert scan_times(params, t_min=0.1, t_max=13.0, steps=5000, tol=1e-12) == []
 
     def test_grid_validation(self):
-        params = equal_params(1, 1.0, 0.5, 2)
+        params = equal_params(1, 1.0, 0.5)
         with pytest.raises(ValueError):
-            scan_times(params, params.layout(), 1.0, 0.5, 100, tol=0.1)
+            scan_times(params, t_min=1.0, t_max=0.5, steps=100, tol=0.1)
         with pytest.raises(ValueError):
-            scan_times(params, params.layout(), 0.5, 1.0, 1, tol=0.1)
+            scan_times(params, t_min=0.5, t_max=1.0, steps=1, tol=0.1)
 
-
-@pytest.mark.parametrize("n_outer", [1, 2])
-def test_computational_results_do_not_read_n_max(n_outer):
-    # The occupation-0/1 inputs fill the blocks K <= N+1, built from N alone,
-    # so n_max = 1 gives the same bits as n_max = N+1.
-    low, full = (equal_params(n_outer, 1.0, math.sqrt(n_outer) / 2.0, n) for n in (1, n_outer + 1))
-    for t in (1.7, gate_time(full).t):
-        for method in ("exact", "factorized"):
-            assert truth_table(low, low.layout(), t, method) == truth_table(
-                full, full.layout(), t, method
-            )
-        (gate_low, leak_low), (gate_full, leak_full) = (
-            extract_gate(p, p.layout(), t) for p in (low, full)
-        )
-        assert np.array_equal(gate_low.matrix, gate_full.matrix)
-        assert leak_low == leak_full
-    hits = [scan_times(p, p.layout(), 0.1, 10.0, 400, tol=0.05) for p in (low, full)]
-    assert hits[0] and hits[0] == hits[1]
+    def test_range_is_keyword_only(self):
+        params = equal_params(1, 1.0, 0.5)
+        with pytest.raises(TypeError):
+            scan_times(params, 0.1, 13.0, 100, 0.05)
 
 
 def computational_restriction(params, t):
@@ -203,7 +180,7 @@ def computational_restriction(params, t):
     Entries between inputs of different excitation are zero.
     """
     modes = params.n_outer + 1
-    blocks = exact_propagator(params, params.layout(), t)
+    blocks = exact_propagator(params, params.layout(modes), t)
     codes = list(np.ndindex(*(2,) * modes))
     r = np.zeros((len(codes), len(codes)), dtype=complex)
     for a, out in enumerate(codes):
@@ -238,12 +215,12 @@ class TestScanOracle:
         "params, t_min, t_max, steps",
         [
             # N = 1, dim 9; 1001 points is not a multiple of the chunk size.
-            (equal_params(1, 1.0, 0.5, 2), 0.1, 13.0, 1001),
+            (equal_params(1, 1.0, 0.5), 0.1, 13.0, 1001),
             # N = 2, dim 64.
-            (equal_params(2, 1.0, math.sqrt(2) / 2.0, 3), 3.0, 6.0, 300),
+            (equal_params(2, 1.0, math.sqrt(2) / 2.0), 3.0, 6.0, 300),
             # Unequal couplings: the interaction winds back at t = 2 pi / ||g||.
             (
-                CouplerParams(w=math.sqrt(0.9) / 2.0, couplings=(0.3, 0.9), n_max=3),
+                CouplerParams(w=math.sqrt(0.9) / 2.0, couplings=(0.3, 0.9)),
                 5.5,
                 7.5,
                 257,
@@ -254,7 +231,7 @@ class TestScanOracle:
     def test_matches_per_point_reference(self, params, t_min, t_max, steps):
         tol = 0.05
         expected = reference_scan(params, t_min, t_max, steps, tol)
-        hits = scan_times(params, params.layout(), t_min, t_max, steps, tol)
+        hits = scan_times(params, t_min=t_min, t_max=t_max, steps=steps, tol=tol)
         assert expected, "oracle found no hits; the comparison would be vacuous"
         assert [(h.t, h.label) for h in hits] == [(t, label) for t, label, _ in expected]
         for hit, (_, _, dist) in zip(hits, expected):
@@ -263,18 +240,17 @@ class TestScanOracle:
     @pytest.mark.parametrize("chunks, extra", [(0, 2), (0, 7), (1, 0), (1, 1), (2, 2)])
     def test_grid_sizes_around_the_chunk(self, chunks, extra):
         steps = chunks * analysis._SCAN_CHUNK + extra
-        params = equal_params(1, 1.0, 0.5, 2)
+        params = equal_params(1, 1.0, 0.5)
         expected = reference_scan(params, 6.0, 6.6, steps, 0.2)
-        hits = scan_times(params, params.layout(), 6.0, 6.6, steps, 0.2)
+        hits = scan_times(params, t_min=6.0, t_max=6.6, steps=steps, tol=0.2)
         assert [(h.t, h.label) for h in hits] == [(t, label) for t, label, _ in expected]
         for hit, (_, _, dist) in zip(hits, expected):
             assert abs(hit.distance - dist) <= 1e-12
 
     def test_extract_gate_matches_propagator_slice(self):
-        params = equal_params(2, 0.8, 0.9, 3)
-        layout = params.layout()
+        params = equal_params(2, 0.8, 0.9)
         for t in (0.0, 0.37, 2.9):
-            gate, leakage = extract_gate(params, layout, t)
+            gate, leakage = extract_gate(params, t)
             r = computational_restriction(params, t)
             assert np.linalg.norm(gate.matrix - r) <= 1e-12
             assert leakage == pytest.approx(
@@ -298,8 +274,8 @@ class TestScanOracle:
         monkeypatch.setattr(coupler, "build_hamiltonian", counting_build)
         monkeypatch.setattr(analysis, "build_hamiltonian", counting_build)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        params = equal_params(1, 1.0, 0.5, 4)
-        scan_times(params, params.layout(), 0.1, 13.0, steps, tol=0.05)
+        params = equal_params(1, 1.0, 0.5)
+        scan_times(params, t_min=0.1, t_max=13.0, steps=steps, tol=0.05)
         assert counts == {"build": 1, "eigh": 3}
 
     @pytest.mark.parametrize(
@@ -307,9 +283,9 @@ class TestScanOracle:
         [(math.nan, 1.0, 0.1), (0.0, math.inf, 0.1), (0.0, 1.0, math.nan)],
     )
     def test_rejects_non_finite_inputs(self, t_min, t_max, tol):
-        params = equal_params(1, 1.0, 0.5, 2)
+        params = equal_params(1, 1.0, 0.5)
         with pytest.raises(ValueError, match="finite"):
-            scan_times(params, params.layout(), t_min, t_max, 100, tol)
+            scan_times(params, t_min=t_min, t_max=t_max, steps=100, tol=tol)
 
 
 class TestSchmidt:
@@ -351,8 +327,8 @@ class TestSchmidt:
     def test_works_on_fock_states_too(self):
         # Schmidt across the central/outer cut of a coupler state; one quantum
         # stays in the occupation-0/1 states, read out in register order
-        params = equal_params(1, 1.0, 0.5, 2)
-        u = exact_propagator(params, params.layout(), 0.4)[1]
+        params = equal_params(1, 1.0, 0.5)
+        u = exact_propagator(params, params.layout(2), 0.4)[1]
         states = block_states(2, 1)
         psi = u[:, states.index((1, 0))]
         # |00> and |11> lie in the blocks K = 0 and 2, which one quantum never reaches
@@ -367,7 +343,7 @@ def test_propagator_conserves_total_number():
     # exp(-i t H) on the tensor product of 3 levels per mode, built with
     # np.kron outside the package, commutes with the total number, and its
     # block of total K is the exact propagator's block K.
-    params = equal_params(2, 0.8, 0.9, 2)
+    params = equal_params(2, 0.8, 0.9)
     g = np.zeros((3, 3))
     g[0, 1:] = params.couplings
     evals, vecs = np.linalg.eigh(tensor_one_body(params.w * np.eye(3) + g + g.T, 3))
@@ -376,7 +352,7 @@ def test_propagator_conserves_total_number():
     for t in (0.3, 1.1, 2.7):
         u = (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
         assert np.linalg.norm(u @ n_tot - n_tot @ u) <= 1e-10
-        for k, block in enumerate(exact_propagator(params, params.layout(), t)):
+        for k, block in enumerate(exact_propagator(params, params.layout(2), t)):
             idx = np.flatnonzero(totals == k)
             assert np.linalg.norm(u[np.ix_(idx, idx)] - block) <= 1e-10
 
@@ -426,7 +402,7 @@ class TestRandomProductStates:
             states = random_product_states(rng, n_qubits, 300)
             gates = [
                 QubitGate(n_qubits, random_unitary(rng, 2**n_qubits), "random"),
-                relative_phase_2(math.pi) if n_qubits == 2 else relative_phase_3(),
+                relative_phase_2(math.pi) if n_qubits == 2 else relative_phase_n(3),
             ]
             if n_qubits == 2:
                 gates.append(control_c_phase())
@@ -446,7 +422,7 @@ class TestRandomProductStates:
     def test_diagonal_gates_stack_bitwise(self, rng):
         # The dichotomy gates are diagonal: each output amplitude is one
         # product, so stacked and per-state results agree bit for bit.
-        for gate in (relative_phase_2(math.pi), control_c_phase(), relative_phase_3()):
+        for gate in (relative_phase_2(math.pi), control_c_phase(), relative_phase_n(3)):
             states = random_product_states(rng, gate.qubit_count, 100)
             out = gate.apply(states)
             assert np.array_equal(out, np.array([gate.apply(psi) for psi in states]))

@@ -64,6 +64,12 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["config"]["couplings"] == [0.3, 0.9]
 
+    def test_nmax_below_one_is_config_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--nmax", "0")
+        assert code == 2
+        assert out == ""
+        assert "n_max" in err
+
     def test_csv_not_supported(self, capsys):
         # verify has no --format flag: its reports are json only
         code, out, err = run(capsys, "verify", "--format", "csv")
@@ -132,11 +138,19 @@ class TestTruthTable:
         assert report["passed"] is True
 
     def test_csv_format(self, capsys):
+        # JSON and CSV are two renderings of the same row dicts.
+        code, out, _ = run(capsys, "truth-table")
+        assert code == 0
+        rows = json.loads(out)["results"]["rows"]
+        assert [r["input"] for r in rows] == ["00", "01", "10", "11"]
         code, out, _ = run(capsys, "truth-table", "--format", "csv")
         assert code == 0
-        lines = out.strip().splitlines()
+        lines = out.splitlines()
         assert lines[0] == "input,phase_re,phase_im,fidelity"
-        assert len(lines) == 5
+        assert lines[1:] == [
+            ",".join([r["input"], repr(r["phase_re"]), repr(r["phase_im"]), repr(r["fidelity"])])
+            for r in rows
+        ]
 
     def test_tiny_coupling_keeps_its_norm(self, capsys):
         # sum(g^2) underflows to 0 here; ||g|| = 1e-300 does not
@@ -241,13 +255,37 @@ class TestScan:
         assert code == 0
         report = json.loads(out)
         cfg = report["config"]
-        params = CouplerParams(w=cfg["w"], couplings=tuple(cfg["couplings"]), n_max=1)
+        params = CouplerParams(w=cfg["w"], couplings=tuple(cfg["couplings"]))
         t_gate = gate_time(params).t
         hits = report["results"]["hits"]
         assert hits
         for hit in hits:
             assert hit["label"] == "relative_phase_3"
             assert abs(hit["t"] - t_gate) <= step
+
+    def test_csv_rows_are_the_json_hits(self, capsys):
+        argv = ("scan", "--g", "1", "--w", "3", "--t-min", "1", "--t-max", "2", "--steps", "2001")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        hits = json.loads(out)["results"]["hits"]
+        assert {h["label"] for h in hits} == {"swap"}
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["t,label,distance"] + [
+            f"{h['t']!r},{h['label']},{h['distance']!r}" for h in hits
+        ]
+
+    def test_four_modes_hit_the_parity_gate(self, capsys):
+        # N = 3 with equal couplings: the gate time is 2 pi / sqrt(3).
+        code, out, err = run(
+            capsys, "scan", "--n-outer", "3", "--steps", "2000", "--t-min", "3", "--t-max", "4"
+        )
+        assert code == 0, err
+        hits = json.loads(out)["results"]["hits"]
+        assert hits
+        for hit in hits:
+            assert hit["label"] == "relative_phase_4"
+            assert abs(hit["t"] - 2.0 * math.pi / math.sqrt(3.0)) <= 0.006
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "scan", "--t-min", "2.0", "--t-max", "1.0")

@@ -25,26 +25,33 @@ from helpers import block_states, tensor_one_body, tensor_totals
 
 
 def params_and_layout(n_outer, g, w, n_max):
-    params = CouplerParams.equal_coupling(n_outer, g, w, n_max)
-    return params, params.layout()
+    params = CouplerParams(w, (g,) * n_outer)
+    return params, params.layout(n_max)
 
 
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError, match="nonzero coupling"):
-            CouplerParams(w=1.0, couplings=(), n_max=2)
+            CouplerParams(w=1.0, couplings=())
         with pytest.raises(ValueError):
-            CouplerParams(w=1.0, couplings=(0.0, 0.0), n_max=2)
-        with pytest.raises(ValueError):
-            CouplerParams(w=1.0, couplings=(1.0,), n_max=0)
+            CouplerParams(w=1.0, couplings=(0.0, 0.0))
+
+    def test_coupler_is_frequency_and_couplings(self):
+        # n_max is a choice of blocks, made by the layout, not a coupler field
+        with pytest.raises(TypeError):
+            CouplerParams(w=1.0, couplings=(1.0,), n_max=2)
+        params = CouplerParams(w=1.0, couplings=(1.0, 0.5))
+        assert params.layout(4) == fock.ModeLayout(3, 4)
+        with pytest.raises(fock.FockError):
+            params.layout(0)
 
     @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_frequency(self, w):
         with pytest.raises(ValueError, match="finite"):
-            CouplerParams(w=w, couplings=(1.0,), n_max=2)
+            CouplerParams(w=w, couplings=(1.0,))
 
     def test_gamma(self):
-        params = CouplerParams(w=1.0, couplings=(0.3, 0.4), n_max=2)
+        params = CouplerParams(w=1.0, couplings=(0.3, 0.4))
         assert params.sqrt_gamma(2.0) == pytest.approx(1.0)
         assert params.coupling_norm == pytest.approx(0.5)
         assert params.n_outer == 2
@@ -52,7 +59,7 @@ class TestParams:
     @pytest.mark.parametrize("scale", [1e-300, 1e-320, 1e160, 1e300])
     def test_coupling_norm_without_underflow_or_overflow(self, scale):
         # sum(g^2) underflows to 0 or overflows to inf at these scales
-        params = CouplerParams(w=1.0, couplings=(3 * scale, -4 * scale), n_max=2)
+        params = CouplerParams(w=1.0, couplings=(3 * scale, -4 * scale))
         assert params.coupling_norm == pytest.approx(5 * scale, rel=1e-15, abs=0)
 
 
@@ -66,8 +73,8 @@ class TestHamiltonian:
 
     def test_free_part_is_total_number(self):
         # a fully decoupled configuration is rejected, so use a negligible g
-        params = CouplerParams(w=1.0, couplings=(1e-30,), n_max=1)
-        h = build_hamiltonian(params, params.layout())
+        params = CouplerParams(w=1.0, couplings=(1e-30,))
+        h = build_hamiltonian(params, params.layout(1))
         assert_allclose(h[0], [[0.0]], atol=1e-25)
         assert_allclose(h[1], np.eye(2, dtype=complex), atol=1e-25)
 
@@ -85,19 +92,20 @@ class TestHamiltonian:
         )
 
     def test_hermitian_block_diagonal_resonant(self):
-        params = CouplerParams(w=0.9, couplings=(0.5, -0.8), n_max=2)
-        layout = params.layout()
+        params = CouplerParams(w=0.9, couplings=(0.5, -0.8))
+        layout = params.layout(2)
         # On block K the free part is w K, the whole diagonal on resonance.
         for k, h in enumerate(build_hamiltonian(params, layout)):
             assert np.linalg.norm(h - h.conj().T) <= 1e-12
             assert_allclose(np.diag(h), params.w * k, rtol=0, atol=1e-15)
 
     def test_layout_mismatch(self):
+        # Only the mode count must fit: any n_max is a valid choice of blocks.
         params, _ = params_and_layout(1, 1.0, 0.5, 2)
         with pytest.raises(LayoutMismatch):
             build_hamiltonian(params, fock.ModeLayout(3, 2))
-        with pytest.raises(LayoutMismatch):
-            build_hamiltonian(params, fock.ModeLayout(2, 3))
+        for n_max in (1, 3, 5):
+            assert len(build_hamiltonian(params, fock.ModeLayout(2, n_max))) == n_max + 1
 
 
 class TestExactPropagator:
@@ -240,14 +248,14 @@ class TestVerifyFactorization:
         assert report.max_block_distance <= 1e-14
 
     def test_unequal_couplings(self):
-        params = CouplerParams(w=0.4, couplings=(0.2, -0.9, 0.5), n_max=2)
-        report = verify_factorization(params, params.layout(), 1.3)
+        params = CouplerParams(w=0.4, couplings=(0.2, -0.9, 0.5))
+        report = verify_factorization(params, params.layout(2), 1.3)
         assert report.max_block_distance <= 1e-8
 
     def test_six_outer_modes(self):
         # dim 330 over blocks of at most 210 states
-        params = CouplerParams(w=0.8, couplings=(0.4, -0.7, 0.2, 0.9, -0.3, 0.5), n_max=4)
-        layout = params.layout()
+        params = CouplerParams(w=0.8, couplings=(0.4, -0.7, 0.2, 0.9, -0.3, 0.5))
+        layout = params.layout(4)
         report = verify_factorization(params, layout, 1.1, tol=1e-8)
         assert report.passed
         assert [k for k, _ in report.block_distances] == [0, 1, 2, 3, 4]
@@ -288,16 +296,16 @@ class TestAlgebraCheck:
         assert algebra_check(params, layout) <= 1e-12
 
     def test_unequal_couplings(self):
-        params = CouplerParams(w=0.5, couplings=(0.3, 0.9), n_max=3)
-        assert algebra_check(params, layout=params.layout()) <= 1e-12
+        params = CouplerParams(w=0.5, couplings=(0.3, 0.9))
+        assert algebra_check(params, layout=params.layout(3)) <= 1e-12
 
     @pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
     def test_residual_scales_with_t(self, t):
         # The paper's scaled generators L+- = eps J+-, L3 = eps^2 J3 obey
         # [L+, L-] = 2 L3 and [L3, L+-] = +-kappa L+- with kappa = eps^2 sum g^2;
         # their residuals grow like the t^3 of the triple products.
-        params = CouplerParams(w=0.5, couplings=(0.3, -0.9), n_max=3)
-        layout = params.layout()
+        params = CouplerParams(w=0.5, couplings=(0.3, -0.9))
+        layout = params.layout(3)
         eps = -1j * t
         plus_modes, j3_modes = _su2_generators(params)
         kappa = eps**2 * sum(g * g for g in params.couplings)
@@ -321,13 +329,13 @@ class TestAlgebraCheck:
     def test_huge_couplings_are_scale_free(self):
         # Checked on g / ||g||, so kappa ~ 1e320 and commutators of
         # 1e160-sized generators are never formed.
-        params = CouplerParams(w=0.7, couplings=(1e160, -3e160), n_max=3)
-        assert algebra_check(params, params.layout()) <= 1e-12
+        params = CouplerParams(w=0.7, couplings=(1e160, -3e160))
+        assert algebra_check(params, params.layout(3)) <= 1e-12
 
     def test_wrong_sign_fails(self, monkeypatch):
         # J3 with the opposite sign breaks every relation by O(1), so the
         # check can fail on the sign.
-        params = CouplerParams(w=0.5, couplings=(0.3, 0.9), n_max=3)
+        params = CouplerParams(w=0.5, couplings=(0.3, 0.9))
         right = coupler._su2_generators
 
         def flipped(p):
@@ -335,12 +343,13 @@ class TestAlgebraCheck:
             return j_plus, -j3
 
         monkeypatch.setattr(coupler, "_su2_generators", flipped)
-        assert algebra_check(params, params.layout()) >= 1.0
+        assert algebra_check(params, params.layout(3)) >= 1.0
 
     def test_layout_mismatch(self):
         params, _ = params_and_layout(1, 1.0, 0.5, 2)
         with pytest.raises(LayoutMismatch):
-            algebra_check(params, fock.ModeLayout(2, 3))
+            algebra_check(params, fock.ModeLayout(3, 2))
+        assert algebra_check(params, fock.ModeLayout(2, 3)) <= 1e-12
 
 
 def test_factorized_interaction_factor_is_block_diagonal():
@@ -358,13 +367,13 @@ def test_factorized_interaction_factor_is_block_diagonal():
         assert np.abs(factor[np.ix_(idx, idx)] - block).max() <= 1e-15
 
 
-def tensor_product_hamiltonian(params):
+def tensor_product_hamiltonian(params, n_max):
     """H on the truncated tensor product of n_max + 1 levels per mode.
 
     Built independently of the package with np.kron; mode 0 is the most
     significant factor, so occupations n sit at index sum(n_k d^(M-1-k)).
     """
-    d, modes = params.n_max + 1, params.n_outer + 1
+    d, modes = n_max + 1, params.n_outer + 1
     single = np.diag(np.sqrt(np.arange(1.0, d)), 1)
 
     def lower(mode):
@@ -378,22 +387,22 @@ def tensor_product_hamiltonian(params):
 
 
 @pytest.mark.parametrize(
-    "params",
+    "params, n_max",
     [
-        CouplerParams(w=0.7, couplings=(-1.3,), n_max=3),
-        CouplerParams(w=0.4, couplings=(0.3, -0.9), n_max=3),
-        CouplerParams(w=1.1, couplings=(-0.2, 0.9, 0.5), n_max=2),
+        (CouplerParams(w=0.7, couplings=(-1.3,)), 3),
+        (CouplerParams(w=0.4, couplings=(0.3, -0.9)), 3),
+        (CouplerParams(w=1.1, couplings=(-0.2, 0.9, 0.5)), 2),
     ],
     ids=["n1", "n2", "n3"],
 )
-def test_hamiltonian_blocks_match_tensor_product(params):
-    layout = params.layout()
+def test_hamiltonian_blocks_match_tensor_product(params, n_max):
+    layout = params.layout(n_max)
     h = build_hamiltonian(params, layout)
-    oracle = tensor_product_hamiltonian(params)
-    totals = tensor_totals(layout.mode_count, params.n_max + 1)
+    oracle = tensor_product_hamiltonian(params, n_max)
+    totals = tensor_totals(layout.mode_count, n_max + 1)
     # The oracle conserves excitation: no entry joins different totals.
     assert np.abs(oracle[totals[:, None] != totals[None, :]]).max() == 0.0
-    assert len(h) == params.n_max + 1
+    assert len(h) == n_max + 1
     for k, block in enumerate(h):
         # States of total K in ascending tensor index are in lexicographic
         # order, the order of block K.

@@ -14,7 +14,7 @@ from couplersim.gates import (
     identity_gate,
     one_qubit_phase,
     relative_phase_2,
-    relative_phase_3,
+    relative_phase_n,
     swap_gate,
 )
 
@@ -94,7 +94,7 @@ class TestConstructors:
         assert_allclose(out, expected, atol=1e-14)
 
     def test_relative_phase_3(self):
-        gate = relative_phase_3()
+        gate = relative_phase_n(3)
         diag = np.diag(gate.matrix)
         for code in range(8):
             bits = [(code >> 2) & 1, (code >> 1) & 1, code & 1]
@@ -102,6 +102,18 @@ class TestConstructors:
         a, b, c, d, e, f = 0.6, 0.8, 0.28, 0.96, 0.5, np.sqrt(0.75)
         out = gate.apply(kron_all([a, b], [c, d], [e, f]))
         assert_allclose(out, kron_all([a, -b], [c, -d], [e, -f]), atol=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_relative_phase_n_is_the_parity_gate(self, n):
+        gate = relative_phase_n(n)
+        assert gate.label == f"relative_phase_{n}"
+        parity = [-1.0 if bin(code).count("1") % 2 else 1.0 for code in range(2**n)]
+        assert np.array_equal(gate.matrix, np.diag(parity).astype(complex))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_relative_phase_n_needs_three_qubits(self, n):
+        with pytest.raises(ValueError, match="n >= 3"):
+            relative_phase_n(n)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -115,7 +127,7 @@ class TestAlgebra:
         assert np.linalg.norm(product.matrix - relative_phase_2(math.pi).matrix) <= 1e-12
 
     def test_involutions(self):
-        for gate in (relative_phase_2(math.pi), control_c_phase(), relative_phase_3()):
+        for gate in (relative_phase_2(math.pi), control_c_phase(), relative_phase_n(3)):
             squared = compose([gate, gate])
             assert np.linalg.norm(squared.matrix - np.eye(gate.dim)) <= 1e-14
 
@@ -125,7 +137,7 @@ class TestAlgebra:
             control_c_phase(),
             control_phase_shift(),
             relative_phase_2(1.1),
-            relative_phase_3(),
+            relative_phase_n(3),
         ):
             off = gate.matrix - np.diag(np.diag(gate.matrix))
             assert np.abs(off).max() == 0.0
@@ -137,7 +149,7 @@ class TestAlgebra:
             control_phase_shift(),
             swap_gate(),
             relative_phase_2(0.4),
-            relative_phase_3(),
+            relative_phase_n(3),
             identity_gate(3),
         ):
             assert is_unitary(gate.matrix, 1e-12)
