@@ -116,6 +116,17 @@ class TestTruthTable:
         for row in table.rows:
             assert row.phase == pytest.approx(1.0, abs=1e-12)
 
+    def test_serialization(self):
+        # The report rows are formatted in cli (see test_cli's test_csv_format);
+        # they keep the table's row order and read each field as a plain number.
+        params = equal_params(1, 1.0, 0.5)
+        table = truth_table(params, gate_time(params).t)
+        assert ["".join(map(str, r.occupations)) for r in table.rows] == ["00", "01", "10", "11"]
+        for row in table.rows:
+            assert all(type(n) is int for n in row.occupations)
+            assert math.isfinite(float(row.phase.real)) and math.isfinite(float(row.phase.imag))
+            assert math.isfinite(float(row.fidelity))
+
 
 class TestExtractGate:
     def test_two_qubit_gate(self):
