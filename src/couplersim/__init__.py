@@ -33,7 +33,6 @@ from .coupler import (
     factorized_propagator,
     verify_factorization,
 )
-from .engine import expm_hermitian, expm_nilpotent, is_unitary
 from .fock import ModeLayout, one_body
 from .gates import (
     QubitGate,

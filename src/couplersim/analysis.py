@@ -119,8 +119,9 @@ class TruthTableRow:
 class TruthTable:
     """Diagonal survival of every computational input under the propagator.
 
-    leakage is the worst case over inputs of sqrt(mass outside the
-    computational subspace) plus the off-diagonal mass inside it.
+    leakage is the worst case over inputs of the norm of the input's column
+    without its diagonal entry: the amplitude that left the input, whether to
+    another computational state or out of the computational subspace.
     """
 
     rows: tuple[TruthTableRow, ...]
@@ -156,16 +157,13 @@ def truth_table(params: CouplerParams, t: float, method: str = "exact") -> Truth
     rows = []
     leakages = []
     for occupations, k, idx in zip(bits, totals, position):
-        comp = position[totals == k]
         col = u[k][:, idx]
         amp = complex(col[idx])
         fid = min(1.0, abs(amp))  # roundoff can push |amp| epsilon past 1
         phase = amp / abs(amp) if fid > 1e-12 else 1.0 + 0.0j
-        # Complement of the computational mass; for unitary u this equals
-        # 1 - sum over computational outputs, without the cancellation.
-        escaped = math.sqrt(float(np.sum(np.abs(np.delete(col, comp)) ** 2)))
-        off_diag = float(np.sum(np.abs(col[comp]) ** 2) - abs(amp) ** 2)
-        leakages.append(escaped + np.maximum(off_diag, 0.0))
+        # Summed from the other outputs; for unitary u this is
+        # sqrt(1 - |amp|^2), without the cancellation.
+        leakages.append(math.sqrt(float(np.sum(np.abs(np.delete(col, idx)) ** 2))))
         rows.append(
             TruthTableRow(
                 occupations=tuple(occupations.tolist()), phase=phase, fidelity=fid

@@ -8,7 +8,8 @@ each command builds a list of row dicts, which JSON takes as they are and
 CSV writes under a header, floats as their repr.  The parser is built once,
 at import, and refuses a non-finite float flag.  Exit codes: 0 all
 checks passed, 1 a numeric check failed, 2 configuration or precondition
-error, including a flag the subcommand does not take.  Reports go to stdout
+error, including a flag the subcommand does not take and an --out that
+cannot be written.  Reports go to stdout
 (or --out); diagnostics to stderr.  Reports are byte-stable for identical
 configuration.  A worst case that is not finite is refused with exit 2.
 gates checks the entanglement dichotomy on --samples random product states
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,8 @@
 """The benchmark's tracer reads the program's call signatures; hold them to it.
 
 perfbench/tracer.py counts work from the arguments of boundary calls:
-verify_factorization's layout (argument 1) and scan_times' range, by
+verify_factorization's layout (argument 1), the block H that
+engine.expm_hermitian takes as argument 0, and scan_times' range, by
 position or by keyword.  This runs one verify and one scan under the tracer
 and checks the counters those readings feed.
 """
@@ -36,5 +37,7 @@ def test_tracer_reads_the_layout_and_the_scan_range(tracer, capsys):
         assert cli.main(["scan", "--t-min", "5", "--t-max", "7", "--steps", "401"]) == 0
     capsys.readouterr()
     assert traced.counters["coupler.dense_states"] == 35
+    # verify's blocks K = 0..3 of 4 modes have dims 1, 4, 10 and 20
+    assert traced.counters["engine.n3_sum"] == 1 + 4**3 + 10**3 + 20**3
     assert traced.counters["analysis.scan_points"] == 401
     assert traced.counters["analysis.gate_times_found"] == 1

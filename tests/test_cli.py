@@ -152,6 +152,18 @@ class TestTruthTable:
             for r in rows
         ]
 
+    def test_amplitude_moved_to_another_input_is_leakage(self, capsys, monkeypatch):
+        # A rotation by delta inside the one-excitation block moves amplitude
+        # delta from 01 to 10; that is leakage delta, not delta^2 = 9e-10,
+        # which would pass the default tol of 1e-9.
+        delta = 3e-5
+        c, s = math.cos(delta), math.sin(delta)
+        blocks = [np.eye(1), -np.array([[c, -s], [s, c]]), np.eye(3)]
+        monkeypatch.setattr(analysis, "exact_propagator", lambda params, layout, t: blocks)
+        code, out, _ = run(capsys, "truth-table")
+        assert code == 1
+        assert json.loads(out)["results"]["leakage"] == pytest.approx(delta, rel=1e-9)
+
     def test_tiny_coupling_keeps_its_norm(self, capsys):
         # sum(g^2) underflows to 0 here; ||g|| = 1e-300 does not
         code, out, err = run(capsys, "truth-table", "--g", "1e-300")
@@ -466,6 +478,18 @@ def test_reports_are_byte_stable(tmp_path):
     assert main(["gates", "--out", str(g_first)]) == 0
     assert main(["gates", "--out", str(g_second)]) == 0
     assert g_first.read_bytes() == g_second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [(("verify",), "."), (("truth-table", "--format", "csv"), "missing/x.csv")],
+    ids=["directory", "missing parent"],
+)
+def test_unwritable_out_is_config_error(capsys, tmp_path, argv, target):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_main_parses_with_the_parser_built_at_import(capsys, monkeypatch):

@@ -5,10 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from couplersim.engine import (
-    DimensionMismatch,
     EigenFailure,
     NonFinite,
-    NotHermitian,
     NotNilpotent,
     eigh_hermitian,
     expm_hermitian,
@@ -35,10 +33,6 @@ class TestExpmHermitian:
         u = expm_hermitian(np.diag([0.0, w]), t)
         assert_allclose(u, np.diag([1.0, np.exp(-1j * w * t)]), atol=1e-15)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            expm_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
-
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_unitary_for_large_angles(self, rng, n):
         # ||t H|| up to 50
@@ -55,22 +49,16 @@ class TestEighHermitian:
         assert_allclose((vecs * evals) @ vecs.conj().T, h, atol=1e-12)
         assert is_unitary(vecs, 1e-12)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            eigh_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e160, 1e300])
-    def test_hermiticity_check_at_any_scale(self, scale):
-        # ||H||_F overflows for entries above ~1e154; the check must neither
-        # overflow into a warning nor turn vacuous there.
+    def test_eigenvalues_at_any_scale(self, scale):
+        # ||H||_F overflows for entries above ~1e154; eigh must not.
         h = scale * np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
         evals, _ = eigh_hermitian(h)
         assert_allclose(evals, scale * np.sqrt(5.0) * np.array([-1.0, 1.0]), rtol=1e-14)
-        with pytest.raises(NotHermitian):
-            eigh_hermitian(h + np.array([[0.0, 0.0], [scale, 0.0]]))
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
+        # LAPACK refuses it, and the refusal is typed
+        with pytest.raises(EigenFailure):
             eigh_hermitian(np.ones((2, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from couplersim import fock
+from couplersim.coupler import CouplerParams, build_hamiltonian
 from couplersim.fock import LengthMismatch, ModeLayout, block_occupations, one_body
 
 from helpers import block_states, tensor_one_body, tensor_totals
@@ -156,6 +157,37 @@ def test_mode_out_of_range():
     for shape in ((2, 3), (2,), (2, 2, 2), (0, 0)):
         with pytest.raises(LengthMismatch):
             one_body(np.zeros(shape), 1)
+
+
+def log_uniform_scale(rng):
+    return 10.0 ** rng.uniform(-5.0, 5.0)
+
+
+@pytest.mark.parametrize("kind", ["real symmetric", "complex Hermitian"])
+def test_blocks_of_hermitian_mode_matrices_are_exactly_hermitian(rng, kind):
+    # engine.eigh_hermitian trusts its input to be Hermitian; the blocks are,
+    # to the bit: a move and its reverse put the same integer (n_i + 1) n_j
+    # under the square root, and m[j, i] = conj(m[i, j]).
+    for mode_count in range(1, 7):
+        for _ in range(4):
+            z = rng.normal(size=(mode_count, mode_count))
+            if kind == "complex Hermitian":
+                z = z + 1j * rng.normal(size=(mode_count, mode_count))
+            m = log_uniform_scale(rng) * (z + z.conj().T)
+            for k in range(6):
+                b = one_body(m, k)
+                assert np.array_equal(b, b.conj().T)
+
+
+def test_hamiltonian_blocks_are_exactly_hermitian(rng):
+    for n_outer in range(1, 6):
+        for _ in range(4):
+            scale = log_uniform_scale(rng)
+            params = CouplerParams(
+                w=scale * rng.normal(), couplings=tuple(scale * rng.normal(size=n_outer))
+            )
+            for h in build_hamiltonian(params, params.layout(5)):
+                assert np.array_equal(h, h.conj().T)
 
 
 def random_mode_matrix(rng, mode_count):
