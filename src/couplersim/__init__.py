@@ -8,9 +8,7 @@ coupler on two and three qubits.
 """
 
 from .analysis import (
-    GateTimeSpec,
     ScanHit,
-    SchmidtSpectrum,
     TruthTable,
     TruthTableRow,
     extract_gate,

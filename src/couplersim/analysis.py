@@ -2,15 +2,15 @@
 
 Bridges the Fock-space propagator and the qubit gate family: finds the
 interaction times at which the coupler acts as a pure phase pattern, tabulates
-that pattern, extracts the effective gate, and quantifies entanglement via
-Schmidt spectra.  truth_table, extract_gate and scan_times take the coupler
-alone and no layout: they build the excitation blocks K <= N+1 that hold the
-occupation-0/1 inputs from N, so they have no truncation to choose.  The
-gate times have a closed form for any couplings: the one-mode coupling
+that pattern, extracts the effective gate, and measures entanglement by
+Schmidt coefficients.  truth_table, extract_gate and scan_times take the
+coupler alone and no layout: they build the excitation blocks K <= N+1 that
+hold the occupation-0/1 inputs from N, so they have no truncation to choose.
+The gate times have a closed form for any couplings: the one-mode coupling
 matrix has eigenvalues +-||g|| and 0, so the interaction is the identity at
-t = 2 pi k / ||g||.  Qubit states travel as rows: random product states are
-drawn as a (count, 2^n) stack and schmidt decomposes a whole stack with one
-SVD.
+t = 2 pi k / ||g||, the float gate_time returns.  Qubit states travel as
+rows: random product states are drawn as a (count, 2^n) stack and schmidt
+returns the singular values of a whole stack from one SVD.
 """
 
 from __future__ import annotations
@@ -42,11 +42,9 @@ from .gates import (
 __all__ = [
     "FreePhaseMismatch",
     "NotNormalized",
-    "GateTimeSpec",
     "TruthTableRow",
     "TruthTable",
     "ScanHit",
-    "SchmidtSpectrum",
     "gate_time",
     "truth_table",
     "extract_gate",
@@ -71,26 +69,14 @@ class NotNormalized(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GateTimeSpec:
-    """An interaction time at which the coupler is a pure phase gate.
-
-    t satisfies ||g|| t = 2 pi k (the interaction winds back to the identity)
-    and w t = (2m + 1) pi (odd free phase per excitation).  t is positive for
-    any signs of the couplings.
-    """
-
-    t: float
-    k: int
-    m: int
-
-
-def gate_time(params: CouplerParams, k: int = 1) -> GateTimeSpec:
+def gate_time(params: CouplerParams, k: int = 1) -> float:
     """Gate time of winding k, t = 2 pi k / ||g||, for any couplings.
 
-    Raises ValueError when t overflows (||g|| is subnormal) and
-    FreePhaseMismatch when w t misses every odd multiple of pi by more than
-    1e-9.
+    t satisfies ||g|| t = 2 pi k (the interaction winds back to the identity)
+    and w t = (2m + 1) pi for some m >= 0 (odd free phase per excitation).
+    t is positive for any signs of the couplings.  Raises ValueError when t
+    overflows (||g|| is subnormal) and FreePhaseMismatch when w t misses
+    every odd multiple of pi by more than 1e-9.
     """
     if k < 1:
         raise ValueError(f"winding number k must be positive, got {k}")
@@ -105,7 +91,7 @@ def gate_time(params: CouplerParams, k: int = 1) -> GateTimeSpec:
         raise FreePhaseMismatch(
             f"w*t = {wt:.12g} is not an odd multiple of pi (k={k}, w={params.w})"
         )
-    return GateTimeSpec(t=t, k=k, m=m)
+    return t
 
 
 @dataclass(frozen=True)
@@ -282,19 +268,13 @@ def scan_times(
     return hits
 
 
-class SchmidtSpectrum(NamedTuple):
-    singular_values: np.ndarray
-    entropy_bits: float | np.ndarray
-
-
-def schmidt(amplitudes: np.ndarray, cut: int) -> SchmidtSpectrum:
-    """Schmidt spectra of normalized n-qubit pure states across qubits [0, cut).
+def schmidt(amplitudes: np.ndarray, cut: int) -> np.ndarray:
+    """Schmidt coefficients of normalized n-qubit pure states across qubits [0, cut).
 
     amplitudes holds one state (2^n,) or a stack (..., 2^n), each in the
-    register order |j1 ... jn>, j1 most significant.  Singular values come
+    register order |j1 ... jn>, j1 most significant.  The singular values come
     back descending, shape (..., 2^min(cut, n - cut)), from one SVD of the
-    whole stack; the entropy, one per state, is -sum sigma^2 log2 sigma^2 in
-    bits.  Every state must have norm 1 within 1e-9.
+    whole stack.  Every state must have norm 1 within 1e-9.
     """
     amp = np.asarray(amplitudes, dtype=complex)
     size = amp.shape[-1] if amp.ndim else 0
@@ -307,11 +287,7 @@ def schmidt(amplitudes: np.ndarray, cut: int) -> SchmidtSpectrum:
     worst = float(np.max(np.abs(nrm - 1.0)))
     if not worst <= 1e-9:
         raise NotNormalized(f"state norm off 1 by {worst:.12g}")
-    svals = np.linalg.svd(amp.reshape(*amp.shape[:-1], 2**cut, -1), compute_uv=False)
-    probs = svals**2
-    logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
-    entropy = -np.sum(probs * logs, axis=-1)
-    return SchmidtSpectrum(singular_values=svals, entropy_bits=entropy)
+    return np.linalg.svd(amp.reshape(*amp.shape[:-1], 2**cut, -1), compute_uv=False)
 
 
 def random_product_states(

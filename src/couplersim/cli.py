@@ -3,17 +3,19 @@
 Each subcommand takes only the flags it reads, and each setting has one
 owner: --nmax, the highest excitation block, belongs to verify alone, which
 passes it as its layout; the coupler is (w, couplings), and truth-table and
-scan build the blocks K <= N+1 from N.  Report rows are formatted here only:
-each command builds a list of row dicts, which JSON takes as they are and
-CSV writes under a header, floats as their repr.  The parser is built once,
-at import, and refuses a non-finite float flag.  Exit codes: 0 all
-checks passed, 1 a numeric check failed, 2 configuration or precondition
-error, including a flag the subcommand does not take and an --out that
-cannot be written.  Reports go to stdout
-(or --out); diagnostics to stderr.  Reports are byte-stable for identical
-configuration.  A worst case that is not finite is refused with exit 2.
-gates checks the entanglement dichotomy on --samples random product states
-per gate, drawn, applied and decomposed as one stack.
+scan build the blocks K <= N+1 from N.  --k, the gate-time winding, belongs
+to truth-table; scan's default w is that of k = 1.  Report rows are
+formatted here only: each command builds a list of row dicts, which JSON
+takes as they are and CSV writes under a header, floats as their repr.  The
+parser is built once, at import, and refuses a non-finite float flag and a
+negative --tol.  Exit codes: 0 all checks passed, 1 a numeric check failed,
+2 configuration or precondition error, including a flag the subcommand does
+not take, an --out that cannot be written, and a floating-point overflow,
+invalid operation or division by zero, which numpy raises while a command
+runs.  Reports go to stdout (or --out); diagnostics to stderr.  Reports are
+byte-stable for identical configuration.  A worst case that is not finite is
+refused with exit 2.  gates checks the entanglement dichotomy on --samples
+random product states per gate, drawn, applied and decomposed as one stack.
 """
 
 from __future__ import annotations
@@ -49,6 +51,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """The argparse type of every --tol: finite and not negative."""
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
 def _couplings_from_args(args) -> tuple[float, ...]:
     g = args.g if args.g is not None else [1.0]
     if len(g) == 1:
@@ -60,22 +70,20 @@ def _couplings_from_args(args) -> tuple[float, ...]:
     return tuple(g)
 
 
-def _default_w(couplings: tuple[float, ...], k: int) -> float:
-    # Lowest free phase compatible with the gate time 2 pi k / ||g||.
-    if k < 1:
-        raise ValueError(f"--k must be at least 1, got {k}")
-    return math.hypot(*couplings) / (2.0 * k)
-
-
-def _coupler_setup(args) -> tuple[coupler.CouplerParams, dict]:
+def _coupler_setup(args, k: int = 1) -> tuple[coupler.CouplerParams, dict]:
     """CouplerParams from the coupler flags, and the report's config for them.
 
-    An unset --w takes the lowest gate-compatible frequency; verify sets its
-    own default in the parser, so only truth-table and scan, which have --k,
-    reach it.
+    An unset --w takes ||g|| / (2k), the lowest free phase compatible with the
+    gate time 2 pi k / ||g||; verify sets its own default in the parser, so
+    only truth-table, which passes its --k, and scan, with k = 1, reach it.
     """
     couplings = _couplings_from_args(args)
-    w = args.w if args.w is not None else _default_w(couplings, args.k)
+    if args.w is not None:
+        w = args.w
+    elif k < 1:
+        raise ValueError(f"--k must be at least 1, got {k}")
+    else:
+        w = math.hypot(*couplings) / (2.0 * k)
     params = coupler.CouplerParams(w=w, couplings=couplings)
     config = {
         "command": args.command,
@@ -135,8 +143,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_truth_table(args) -> int:
-    params, config = _coupler_setup(args)
-    t = args.time if args.time is not None else gate_time(params, k=args.k).t
+    params, config = _coupler_setup(args, args.k)
+    t = args.time if args.time is not None else gate_time(params, k=args.k)
     config.update(k=args.k, format=args.format, t=t)
     table = analysis.truth_table(params, t, method=args.method)
     # Phase pattern of the relative gate family: (-1)^K on each input.
@@ -163,17 +171,13 @@ def cmd_truth_table(args) -> int:
     return 0 if passed else 1
 
 
-def _schmidt_extrema(gate: gates.QubitGate, samples: int, rng) -> tuple[float, float]:
-    """(largest, smallest) second Schmidt coefficient over random product inputs.
+def _second_coefficients(gate: gates.QubitGate, samples: int, rng) -> np.ndarray:
+    """Second Schmidt coefficient of random product inputs after the gate, per cut.
 
-    All samples are drawn, mapped by the gate and decomposed as one stack,
-    at every cut of the register.
+    All samples are drawn, mapped by the gate and decomposed as one stack.
     """
     states = gate.apply(random_product_states(rng, gate.qubit_count, samples))
-    second = np.stack(
-        [schmidt(states, cut).singular_values[:, 1] for cut in range(1, gate.qubit_count)]
-    )
-    return float(second.max()), float(second.min())
+    return np.stack([schmidt(states, cut)[:, 1] for cut in range(1, gate.qubit_count)])
 
 
 def cmd_gates(args) -> int:
@@ -201,24 +205,23 @@ def cmd_gates(args) -> int:
         np.linalg.norm(decomposition.matrix - gates.relative_phase_2(math.pi).matrix)
     )
     rng = np.random.default_rng(_DICHOTOMY_SEED)
-    rel2_second, _ = _schmidt_extrema(gates.relative_phase_2(math.pi), args.samples, rng)
-    rel3_second, _ = _schmidt_extrema(gates.relative_phase_n(3), args.samples, rng)
-    _, cz_second_min = _schmidt_extrema(gates.control_c_phase(), args.samples, rng)
+    rel2 = _second_coefficients(gates.relative_phase_2(math.pi), args.samples, rng)
+    rel3 = _second_coefficients(gates.relative_phase_n(3), args.samples, rng)
+    cz = _second_coefficients(gates.control_c_phase(), args.samples, rng)
     checks = {
         "decomposition_distance": decomp_dist,
-        "parity_self_test": True,  # relative_phase_n() raises if it fails
         "all_unitary": all(is_unitary(g.matrix, 1e-12) for g in family),
-        "relative_2_second_coefficient_max": rel2_second,
-        "relative_3_second_coefficient_max": rel3_second,
-        "control_c_second_coefficient_min": cz_second_min,
+        "relative_2_second_coefficient_max": float(rel2.max()),
+        "relative_3_second_coefficient_max": float(rel3.max()),
+        "control_c_second_coefficient_min": float(cz.min()),
         "samples": args.samples,
     }
     passed = (
         decomp_dist <= 1e-12
         and checks["all_unitary"]
-        and rel2_second <= _PRODUCT_TOL
-        and rel3_second <= _PRODUCT_TOL
-        and cz_second_min >= _ENTANGLED_MIN
+        and checks["relative_2_second_coefficient_max"] <= _PRODUCT_TOL
+        and checks["relative_3_second_coefficient_max"] <= _PRODUCT_TOL
+        and checks["control_c_second_coefficient_min"] >= _ENTANGLED_MIN
     )
     results = {
         "gates": {g.label: g.to_json_matrix() for g in family},
@@ -230,7 +233,7 @@ def cmd_gates(args) -> int:
 
 def cmd_scan(args) -> int:
     params, config = _coupler_setup(args)
-    config.update(k=args.k, format=args.format)
+    config.update(format=args.format)
     hits = analysis.scan_times(
         params, t_min=args.t_min, t_max=args.t_max, steps=args.steps, tol=args.tol
     )
@@ -275,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--nmax", type=int, default=3, help="highest excitation block K checked"
     )
     p_verify.add_argument("--time", type=_finite_float, default=1.0, help="interaction time")
-    p_verify.add_argument("--tol", type=_finite_float, default=1e-8)
+    p_verify.add_argument("--tol", type=_tolerance, default=1e-8)
     p_verify.set_defaults(func=cmd_verify, w=0.7)
 
     p_table = sub.add_parser("truth-table", help="computational-basis phase table")
@@ -284,8 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--time", type=_finite_float, default=None,
         help="interaction time (default: the gate time)",
     )
-    p_table.add_argument("--tol", type=_finite_float, default=1e-9)
+    p_table.add_argument("--tol", type=_tolerance, default=1e-9)
     p_table.add_argument("--method", choices=("exact", "factorized"), default="exact")
+    p_table.add_argument("--k", type=int, default=1, help="gate-time winding number")
     p_table.set_defaults(func=cmd_truth_table)
 
     p_gates = sub.add_parser("gates", help="print the gate family and its identities")
@@ -295,14 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="locate gate times on a grid")
     _add_coupler(p_scan)
-    p_scan.add_argument("--tol", type=_finite_float, default=0.05)
+    p_scan.add_argument("--tol", type=_tolerance, default=0.05)
     p_scan.add_argument("--t-min", type=_finite_float, default=0.1)
     p_scan.add_argument("--t-max", type=_finite_float, default=13.0)
     p_scan.add_argument("--steps", type=int, default=5000)
     p_scan.set_defaults(func=cmd_scan)
 
     for p in (p_table, p_scan):
-        p.add_argument("--k", type=int, default=1, help="gate-time winding number")
         p.add_argument("--format", choices=("json", "csv"), default="json")
     for p in (p_verify, p_table, p_gates, p_scan):
         p.add_argument(
@@ -317,7 +320,11 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        print(f"error: {exc}; the configuration is out of floating-point range", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -145,16 +145,16 @@ def test_criterion_5_entanglement_dichotomy():
     for psi in states2:
         out = relative_phase_2(math.pi).apply(psi)
         rel2_second = max(
-            rel2_second, float(schmidt(out, 1).singular_values[1])
+            rel2_second, float(schmidt(out, 1)[1])
         )
-        svals = schmidt(control_c_phase().apply(psi), 1).singular_values
+        svals = schmidt(control_c_phase().apply(psi), 1)
         cz_second_min = min(cz_second_min, float(svals[1]))
     rel3_second = 0.0
     for psi in states3:
         out = relative_phase_n(3).apply(psi)
         for cut in (1, 2):
             rel3_second = max(
-                rel3_second, float(schmidt(out, cut).singular_values[1])
+                rel3_second, float(schmidt(out, cut)[1])
             )
     passed = rel2_second <= 1e-10 and rel3_second <= 1e-10 and cz_second_min >= 0.05
     report(

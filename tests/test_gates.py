@@ -103,12 +103,16 @@ class TestConstructors:
         out = gate.apply(kron_all([a, b], [c, d], [e, f]))
         assert_allclose(out, kron_all([a, -b], [c, -d], [e, -f]), atol=1e-14)
 
-    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("n", [3, 4, 6, 10])
     def test_relative_phase_n_is_the_parity_gate(self, n):
         gate = relative_phase_n(n)
         assert gate.label == f"relative_phase_{n}"
         parity = [-1.0 if bin(code).count("1") % 2 else 1.0 for code in range(2**n)]
         assert np.array_equal(gate.matrix, np.diag(parity).astype(complex))
+        # The defining exponent form e^{i pi (j1 - j2 - ... - jn)}, j1 the top bit.
+        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        exponent_form = np.exp(1j * math.pi * (bits[:, 0] - bits[:, 1:].sum(axis=1)))
+        assert np.max(np.abs(np.diag(gate.matrix) - exponent_form)) <= 1e-14
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_relative_phase_n_needs_three_qubits(self, n):
@@ -129,7 +133,7 @@ class TestAlgebra:
     def test_involutions(self):
         for gate in (relative_phase_2(math.pi), control_c_phase(), relative_phase_n(3)):
             squared = compose([gate, gate])
-            assert np.linalg.norm(squared.matrix - np.eye(gate.dim)) <= 1e-14
+            assert np.linalg.norm(squared.matrix - np.eye(2**gate.qubit_count)) <= 1e-14
 
     def test_family_diagonal_except_swap(self):
         for gate in (
@@ -172,19 +176,19 @@ class TestEntanglementDichotomy:
     def test_relative_gate_preserves_products(self, rng):
         gate = relative_phase_2(math.pi)
         for psi in random_product_states(rng, 2, 50):
-            svals = schmidt(gate.apply(psi), 1).singular_values
+            svals = schmidt(gate.apply(psi), 1)
             assert svals[1] <= 1e-12
 
     def test_control_c_entangles(self, rng):
         gate = control_c_phase()
         for psi in random_product_states(rng, 2, 50):
-            svals = schmidt(gate.apply(psi), 1).singular_values
+            svals = schmidt(gate.apply(psi), 1)
             assert svals[1] > 1e-3
 
     def test_control_shift_preserves_products(self, rng):
         gate = control_phase_shift()
         for psi in random_product_states(rng, 2, 50):
-            svals = schmidt(gate.apply(psi), 1).singular_values
+            svals = schmidt(gate.apply(psi), 1)
             assert svals[1] <= 1e-12
 
 
