@@ -9,8 +9,6 @@ coupler on two and three qubits.
 
 from .analysis import (
     ScanHit,
-    TruthTable,
-    TruthTableRow,
     extract_gate,
     family_gates,
     gate_time,

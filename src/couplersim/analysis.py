@@ -1,12 +1,13 @@
 """Computational-basis diagnostics of the coupler dynamics.
 
 Bridges the Fock-space propagator and the qubit gate family: finds the
-interaction times at which the coupler acts as a pure phase pattern, tabulates
-that pattern, extracts the effective gate, and measures entanglement by
-Schmidt coefficients.  truth_table, extract_gate and scan_times take the
-coupler alone and no layout: they build the excitation blocks K <= N+1 that
-hold the occupation-0/1 inputs from N, so they have no truncation to choose.
-The gate times have a closed form for any couplings: the one-mode coupling
+interaction times at which the coupler acts as a pure phase pattern, measures
+the diagonal amplitudes of the computational inputs, extracts the effective
+gate, and measures entanglement by Schmidt coefficients; no verdict is made
+here.  truth_table, extract_gate and scan_times take the coupler alone and
+no layout: they build the excitation blocks K <= N+1 that hold the
+occupation-0/1 inputs from N, so they have no truncation to choose.  The
+gate times have a closed form for any couplings: the one-mode coupling
 matrix has eigenvalues +-||g|| and 0, so the interaction is the identity at
 t = 2 pi k / ||g||, the float gate_time returns.  Qubit states travel as
 rows: random product states are drawn as a (count, 2^n) stack and schmidt
@@ -16,7 +17,6 @@ returns the singular values of a whole stack from one SVD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +42,6 @@ from .gates import (
 __all__ = [
     "FreePhaseMismatch",
     "NotNormalized",
-    "TruthTableRow",
-    "TruthTable",
     "ScanHit",
     "gate_time",
     "truth_table",
@@ -55,6 +53,9 @@ __all__ = [
 ]
 
 FREE_PHASE_TOL = 1e-9
+
+# Floor on every amplitude magnitude of the qubits random_product_states draws.
+MIN_MAGNITUDE = 0.1
 
 # Grid points per batched restriction in scan_times; bounds the working set to
 # a few (chunk, 2^(N+1), dim) complex arrays, dim that of the blocks K <= N+1.
@@ -94,26 +95,6 @@ def gate_time(params: CouplerParams, k: int = 1) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class TruthTableRow:
-    occupations: tuple[int, ...]
-    phase: complex
-    fidelity: float
-
-
-@dataclass(frozen=True)
-class TruthTable:
-    """Diagonal survival of every computational input under the propagator.
-
-    leakage is the worst case over inputs of the norm of the input's column
-    without its diagonal entry: the amplitude that left the input, whether to
-    another computational state or out of the computational subspace.
-    """
-
-    rows: tuple[TruthTableRow, ...]
-    leakage: float
-
-
 def _computational_space(
     params: CouplerParams,
 ) -> tuple[ModeLayout, np.ndarray, np.ndarray, np.ndarray]:
@@ -133,29 +114,30 @@ def _computational_space(
     return params.layout(modes), bits, bits.sum(axis=1), position
 
 
-def truth_table(params: CouplerParams, t: float, method: str = "exact") -> TruthTable:
-    """Evolve each computational basis state and record its diagonal phase."""
-    layout, bits, totals, position = _computational_space(params)
+def truth_table(
+    params: CouplerParams, t: float, method: str = "exact"
+) -> tuple[np.ndarray, float]:
+    """Diagonal amplitudes <x|U(t)|x> of the computational inputs, and the leakage.
+
+    The 2^(N+1) amplitudes come in binary order of x, mode 0 most significant.
+    leakage is the worst case over inputs of the norm of the input's column
+    without its diagonal entry: the amplitude that left the input, whether to
+    another computational state or out of the computational subspace.
+    """
+    layout, _, totals, position = _computational_space(params)
     if method not in ("exact", "factorized"):
         raise ValueError(f"unknown propagator method {method!r}")
     propagator = exact_propagator if method == "exact" else factorized_propagator
     u = propagator(params, layout, t)
-    rows = []
+    amplitudes = np.empty(len(totals), dtype=complex)
     leakages = []
-    for occupations, k, idx in zip(bits, totals, position):
+    for x, (k, idx) in enumerate(zip(totals, position)):
         col = u[k][:, idx]
-        amp = complex(col[idx])
-        fid = min(1.0, abs(amp))  # roundoff can push |amp| epsilon past 1
-        phase = amp / abs(amp) if fid > 1e-12 else 1.0 + 0.0j
+        amplitudes[x] = col[idx]
         # Summed from the other outputs; for unitary u this is
-        # sqrt(1 - |amp|^2), without the cancellation.
+        # sqrt(1 - |col[idx]|^2), without the cancellation.
         leakages.append(math.sqrt(float(np.sum(np.abs(np.delete(col, idx)) ** 2))))
-        rows.append(
-            TruthTableRow(
-                occupations=tuple(occupations.tolist()), phase=phase, fidelity=fid
-            )
-        )
-    return TruthTable(rows=tuple(rows), leakage=finite_max(leakages, "truth-table leakage"))
+    return amplitudes, finite_max(leakages, "truth-table leakage")
 
 
 def _computational_spectrum(params: CouplerParams) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +273,7 @@ def schmidt(amplitudes: np.ndarray, cut: int) -> np.ndarray:
 
 
 def random_product_states(
-    rng: np.random.Generator, n_qubits: int, count: int, min_magnitude: float = 0.1
+    rng: np.random.Generator, n_qubits: int, count: int, min_magnitude: float = MIN_MAGNITUDE
 ) -> np.ndarray:
     """count random product states, shape (count, 2^n), from one stream of draws.
 

@@ -3,19 +3,19 @@
 Each subcommand takes only the flags it reads, and each setting has one
 owner: --nmax, the highest excitation block, belongs to verify alone, which
 passes it as its layout; the coupler is (w, couplings), and truth-table and
-scan build the blocks K <= N+1 from N.  --k, the gate-time winding, belongs
-to truth-table; scan's default w is that of k = 1.  Report rows are
-formatted here only: each command builds a list of row dicts, which JSON
-takes as they are and CSV writes under a header, floats as their repr.  The
-parser is built once, at import, and refuses a non-finite float flag and a
-negative --tol.  Exit codes: 0 all checks passed, 1 a numeric check failed,
-2 configuration or precondition error, including a flag the subcommand does
-not take, an --out that cannot be written, and a floating-point overflow,
-invalid operation or division by zero, which numpy raises while a command
-runs.  Reports go to stdout (or --out); diagnostics to stderr.  Reports are
-byte-stable for identical configuration.  A worst case that is not finite is
-refused with exit 2.  gates checks the entanglement dichotomy on --samples
-random product states per gate, drawn, applied and decomposed as one stack.
+scan build the blocks K <= N+1 from N, at w = ||g|| / 2 unless --w is set.
+The library measures; every verdict and report row is made here: each
+command builds a list of row dicts, which JSON takes as they are and CSV
+writes under a header, floats as their repr.  The parser is built once, at
+import, and refuses a non-finite float flag and a negative --tol.  Exit
+codes: 0 all checks passed, 1 a numeric check failed, 2 configuration or
+precondition error, including a flag the subcommand does not take, an --out
+that cannot be written, and a floating-point overflow, invalid operation or
+division by zero, which numpy raises while a command runs.  Reports go to
+stdout (or --out); diagnostics to stderr.  Reports are byte-stable for
+identical configuration.  A worst case that is not finite is refused with
+exit 2.  gates checks the entanglement dichotomy on --samples random product
+states per gate, drawn, applied and decomposed as one stack.
 """
 
 from __future__ import annotations
@@ -30,14 +30,18 @@ import sys
 import numpy as np
 
 from . import analysis, coupler, gates
-from .analysis import gate_time, random_product_states, schmidt
+from .analysis import MIN_MAGNITUDE, gate_time, random_product_states, schmidt
 from .engine import finite_max, is_unitary
 
 SCHEMA_VERSION = 1
 
 _DICHOTOMY_SEED = 1
 _PRODUCT_TOL = 1e-10
-_ENTANGLED_MIN = 0.05
+# Product inputs with every amplitude magnitude >= m leave control-C with
+# concurrence C = 4|a0 a1 b0 b1| >= 4 m^2 (1 - m^2), so a second Schmidt
+# coefficient >= sqrt((1 - sqrt(1 - C^2)) / 2), less roundoff at the floor.
+_CONCURRENCE_MIN = 4.0 * MIN_MAGNITUDE**2 * (1.0 - MIN_MAGNITUDE**2)
+_ENTANGLED_MIN = math.sqrt((1.0 - math.sqrt(1.0 - _CONCURRENCE_MIN**2)) / 2.0) - 1e-12
 
 
 def _finite_float(text: str) -> float:
@@ -60,6 +64,8 @@ def _tolerance(text: str) -> float:
 
 
 def _couplings_from_args(args) -> tuple[float, ...]:
+    if args.n_outer < 1:
+        raise ValueError("--n-outer must be at least 1")
     g = args.g if args.g is not None else [1.0]
     if len(g) == 1:
         return (g[0],) * args.n_outer
@@ -70,20 +76,15 @@ def _couplings_from_args(args) -> tuple[float, ...]:
     return tuple(g)
 
 
-def _coupler_setup(args, k: int = 1) -> tuple[coupler.CouplerParams, dict]:
+def _coupler_setup(args) -> tuple[coupler.CouplerParams, dict]:
     """CouplerParams from the coupler flags, and the report's config for them.
 
-    An unset --w takes ||g|| / (2k), the lowest free phase compatible with the
-    gate time 2 pi k / ||g||; verify sets its own default in the parser, so
-    only truth-table, which passes its --k, and scan, with k = 1, reach it.
+    An unset --w takes ||g|| / 2, the lowest free phase compatible with the
+    first gate time 2 pi / ||g||; verify sets its own default in the parser,
+    so only truth-table and scan reach it.
     """
     couplings = _couplings_from_args(args)
-    if args.w is not None:
-        w = args.w
-    elif k < 1:
-        raise ValueError(f"--k must be at least 1, got {k}")
-    else:
-        w = math.hypot(*couplings) / (2.0 * k)
+    w = args.w if args.w is not None else math.hypot(*couplings) / 2.0
     params = coupler.CouplerParams(w=w, couplings=couplings)
     config = {
         "command": args.command,
@@ -127,8 +128,10 @@ def cmd_verify(args) -> int:
     params, config = _coupler_setup(args)
     config.update(n_max=args.nmax, t=args.time)
     layout = params.layout(args.nmax)
-    report = coupler.verify_factorization(params, layout, args.time, tol=args.tol)
+    report = coupler.verify_factorization(params, layout, args.time)
     algebra_residual = coupler.algebra_check(params, layout)
+    max_error = max(report.max_block_distance, algebra_residual)
+    passed = max_error <= args.tol
     results = {
         "factorization": {
             "block_distances": [[k, d] for k, d in report.block_distances],
@@ -138,35 +141,33 @@ def cmd_verify(args) -> int:
         },
         "algebra": {"residual": algebra_residual},
     }
-    _emit(_json_report(config, results, report.max_block_distance, report.passed), args.out)
-    return 0 if report.passed else 1
+    _emit(_json_report(config, results, max_error, passed), args.out)
+    return 0 if passed else 1
 
 
 def cmd_truth_table(args) -> int:
-    params, config = _coupler_setup(args, args.k)
-    t = args.time if args.time is not None else gate_time(params, k=args.k)
-    config.update(k=args.k, format=args.format, t=t)
-    table = analysis.truth_table(params, t, method=args.method)
-    # Phase pattern of the relative gate family: (-1)^K on each input.
-    errors = [table.leakage]
-    for row in table.rows:
-        expected = -1.0 if sum(row.occupations) % 2 else 1.0
-        errors += [abs(row.phase - expected), 1.0 - row.fidelity]
+    params, config = _coupler_setup(args)
+    t = args.time if args.time is not None else gate_time(params)
+    config.update(format=args.format, t=t)
+    amplitudes, leakage = analysis.truth_table(params, t, method=args.method)
+    errors = [leakage]
+    rows = []
+    for code, amp in enumerate(amplitudes.tolist()):
+        label = format(code, f"0{params.n_outer + 1}b")
+        fid = min(1.0, abs(amp))  # roundoff can push |amp| epsilon past 1
+        phase = amp / abs(amp) if fid > 1e-12 else 1.0 + 0.0j
+        # Phase pattern of the relative gate family: (-1)^K on each input.
+        expected = -1.0 if label.count("1") % 2 else 1.0
+        errors += [abs(phase - expected), 1.0 - fid]
+        rows.append(
+            {"input": label, "phase_re": phase.real, "phase_im": phase.imag, "fidelity": fid}
+        )
     max_error = finite_max(errors, "truth-table max_error")
     passed = max_error <= args.tol
-    rows = [
-        {
-            "input": "".join(str(n) for n in r.occupations),
-            "phase_re": float(r.phase.real),
-            "phase_im": float(r.phase.imag),
-            "fidelity": float(r.fidelity),
-        }
-        for r in table.rows
-    ]
     if args.format == "csv":
         _emit(_csv_text(["input", "phase_re", "phase_im", "fidelity"], rows), args.out)
     else:
-        results = {"rows": rows, "leakage": float(table.leakage), "t": t, "method": args.method}
+        results = {"rows": rows, "leakage": leakage, "t": t, "method": args.method}
         _emit(_json_report(config, results, max_error, passed), args.out)
     return 0 if passed else 1
 
@@ -183,18 +184,17 @@ def _second_coefficients(gate: gates.QubitGate, samples: int, rng) -> np.ndarray
 def cmd_gates(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    theta = args.theta if args.theta is not None else math.pi
     family = [
-        gates.one_qubit_phase(theta),
+        gates.one_qubit_phase(args.theta),
         gates.control_c_phase(),
         gates.control_phase_shift(),
         gates.swap_gate(),
-        gates.relative_phase_2(theta),
+        gates.relative_phase_2(args.theta),
         gates.relative_phase_n(3),
     ]
     config = {
         "command": "gates",
-        "theta": theta,
+        "theta": args.theta,
         "samples": args.samples,
     }
     decomposition = gates.compose(
@@ -289,11 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--tol", type=_tolerance, default=1e-9)
     p_table.add_argument("--method", choices=("exact", "factorized"), default="exact")
-    p_table.add_argument("--k", type=int, default=1, help="gate-time winding number")
     p_table.set_defaults(func=cmd_truth_table)
 
     p_gates = sub.add_parser("gates", help="print the gate family and its identities")
-    p_gates.add_argument("--theta", type=_finite_float, default=None)
+    p_gates.add_argument("--theta", type=_finite_float, default=math.pi)
     p_gates.add_argument("--samples", type=int, default=100)
     p_gates.set_defaults(func=cmd_gates)
 

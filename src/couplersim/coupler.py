@@ -28,7 +28,8 @@ block; n_max only chooses how many blocks, so any n_max >= 1 fits the
 params.  f diverges when sqrt(gamma) hits an odd multiple of pi, and
 evaluation is refused near those points rather than clamped.  Each factor
 has a closed form: A+ and A- are nilpotent, so their exponentials are finite
-series, and the free phase exp(-i t w K) is one scalar per block.
+series, and the free phase exp(-i t w K) is one scalar per block.  The
+checks here measure; the caller decides pass or fail.
 """
 
 from __future__ import annotations
@@ -162,7 +163,6 @@ class FactorCoefficients(NamedTuple):
 
     raising_coeff: float
     lowering_coeff: float
-    sqrt_gamma: float
 
 
 def factor_coefficients(params: CouplerParams, t: float) -> FactorCoefficients:
@@ -183,7 +183,7 @@ def factor_coefficients(params: CouplerParams, t: float) -> FactorCoefficients:
     else:
         f = math.tan(sg / 2.0) / sg
         h = math.sin(sg) / sg
-    return FactorCoefficients(raising_coeff=f, lowering_coeff=h, sqrt_gamma=sg)
+    return FactorCoefficients(raising_coeff=f, lowering_coeff=h)
 
 
 def factorized_propagator(
@@ -212,22 +212,17 @@ class FactorizationReport:
 
     One entry per excitation block K = 0..n_max of the layout.  Distances are
     plain Frobenius norms, with no global-phase allowance: the identity
-    asserts operator equality.
+    asserts operator equality.  The caller judges them against its tolerance.
     """
 
     block_distances: tuple[tuple[int, float], ...]
     max_block_distance: float
     sqrt_gamma: float
     singularity_margin: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_block_distance <= self.tolerance
 
 
 def verify_factorization(
-    params: CouplerParams, layout: ModeLayout, t: float, tol: float = 1e-8
+    params: CouplerParams, layout: ModeLayout, t: float
 ) -> FactorizationReport:
     """Compare the disentangled product against the eigendecomposition oracle."""
     exact = exact_propagator(params, layout, t)
@@ -241,7 +236,6 @@ def verify_factorization(
         max_block_distance=finite_max([d for _, d in distances], "factorization block distance"),
         sqrt_gamma=sg,
         singularity_margin=singularity_margin(sg),
-        tolerance=tol,
     )
 
 

@@ -17,6 +17,7 @@ from couplersim.analysis import (
     truth_table,
 )
 from couplersim.coupler import CouplerParams, exact_propagator
+from couplersim.fock import block_occupations
 from couplersim.gates import (
     QubitGate,
     control_c_phase,
@@ -25,6 +26,11 @@ from couplersim.gates import (
 )
 
 from helpers import block_states, random_unitary, tensor_one_body, tensor_totals
+
+
+def parity(code):
+    """(-1)^K of the computational input code, K its number of ones."""
+    return -1.0 if bin(code).count("1") % 2 else 1.0
 
 
 def equal_params(n_outer, g, w):
@@ -69,11 +75,9 @@ class TestGateTime:
         t = gate_time(params)
         assert t == pytest.approx(2.0 * math.pi / norm, abs=1e-12)
         assert params.w * t == pytest.approx(math.pi, abs=1e-12)  # m = 0
-        table = truth_table(params, t)
-        assert table.leakage <= 1e-9
-        for row in table.rows:
-            sign = -1.0 if sum(row.occupations) % 2 else 1.0
-            assert abs(row.phase - sign) <= 1e-9
+        amplitudes, leakage = truth_table(params, t)
+        assert leakage <= 1e-9
+        assert_allclose(amplitudes, [parity(x) for x in range(16)], rtol=0, atol=1e-9)
 
     def test_bad_winding(self):
         with pytest.raises(ValueError):
@@ -88,43 +92,40 @@ class TestGateTime:
 class TestTruthTable:
     def test_two_qubit_table(self):
         params = equal_params(1, 1.0, 0.5)
-        table = truth_table(params, gate_time(params))
-        assert table.leakage <= 1e-10
-        by_input = {r.occupations: r for r in table.rows}
-        assert set(by_input) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        for occ, sign in (((0, 0), 1), ((1, 1), 1), ((1, 0), -1), ((0, 1), -1)):
-            row = by_input[occ]
-            assert row.fidelity >= 1.0 - 1e-10
-            assert row.phase == pytest.approx(sign, abs=1e-10)
+        amplitudes, leakage = truth_table(params, gate_time(params))
+        assert leakage <= 1e-10
+        # Inputs 00, 01, 10, 11.
+        assert_allclose(amplitudes, [1, -1, -1, 1], rtol=0, atol=1e-10)
 
     def test_three_qubit_table_both_methods(self):
         params = equal_params(2, 1.0, math.sqrt(2) / 2.0)
         t = gate_time(params)
         for method in ("exact", "factorized"):
-            table = truth_table(params, t, method=method)
-            assert table.leakage <= 1e-9
-            for row in table.rows:
-                sign = -1.0 if sum(row.occupations) % 2 else 1.0
-                assert row.fidelity >= 1.0 - 1e-9
-                assert row.phase == pytest.approx(sign, abs=1e-9)
+            amplitudes, leakage = truth_table(params, t, method=method)
+            assert leakage <= 1e-9
+            assert_allclose(amplitudes, [parity(x) for x in range(8)], rtol=0, atol=1e-9)
 
     def test_zero_time(self):
         params = equal_params(1, 1.0, 0.5)
-        table = truth_table(params, 0.0)
-        assert table.leakage <= 1e-12
-        for row in table.rows:
-            assert row.phase == pytest.approx(1.0, abs=1e-12)
+        amplitudes, leakage = truth_table(params, 0.0)
+        assert leakage <= 1e-12
+        assert_allclose(amplitudes, np.ones(4), rtol=0, atol=1e-12)
 
     def test_serialization(self):
-        # The report rows are formatted in cli (see test_cli's test_csv_format);
-        # they keep the table's row order and read each field as a plain number.
-        params = equal_params(1, 1.0, 0.5)
-        table = truth_table(params, gate_time(params))
-        assert ["".join(map(str, r.occupations)) for r in table.rows] == ["00", "01", "10", "11"]
-        for row in table.rows:
-            assert all(type(n) is int for n in row.occupations)
-            assert math.isfinite(float(row.phase.real)) and math.isfinite(float(row.phase.imag))
-            assert math.isfinite(float(row.fidelity))
+        # cli labels the report rows by the binary code of each amplitude's
+        # index (see test_cli's test_csv_format): input x = (n_0 ... n_N),
+        # mode 0 most significant, is the diagonal entry of U's block sum(x).
+        params = CouplerParams(w=0.4, couplings=(0.3, 0.9))
+        t = 0.7
+        amplitudes, leakage = truth_table(params, t)
+        blocks = exact_propagator(params, params.layout(3), t)
+        assert amplitudes.shape == (8,) and amplitudes.dtype == complex
+        assert type(leakage) is float
+        for code, amp in enumerate(amplitudes.tolist()):
+            occupations = [int(b) for b in format(code, "03b")]
+            k = sum(occupations)
+            idx = block_occupations(3, k).tolist().index(occupations)
+            assert amp == blocks[k][idx, idx]
 
 
 class TestExtractGate:

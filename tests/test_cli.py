@@ -1,19 +1,24 @@
 import argparse
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from couplersim import analysis, cli, coupler
-from couplersim.analysis import TruthTable, TruthTableRow, gate_time
+from couplersim.analysis import MIN_MAGNITUDE, gate_time, schmidt
 from couplersim.cli import _json_report, main
 from couplersim.coupler import CouplerParams
+from couplersim.gates import control_c_phase
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -56,6 +61,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--tol", "0")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+    def test_broken_algebra_fails(self, capsys, monkeypatch):
+        # The verdict covers the algebra residual as well as the block
+        # distances: a J3 of the wrong sign fails although the factorization
+        # holds.
+        right = coupler._su2_generators
+
+        def flipped(p):
+            j_plus, j3 = right(p)
+            return j_plus, -j3
+
+        monkeypatch.setattr(coupler, "_su2_generators", flipped)
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert report["results"]["factorization"]["max_block_distance"] <= 1e-8
+        assert report["max_error"] == report["results"]["algebra"]["residual"] >= 1.0
 
     def test_unequal_couplings(self, capsys):
         code, out, _ = run(
@@ -210,6 +233,26 @@ class TestGates:
         assert checks["control_c_second_coefficient_min"] == pytest.approx(
             0.09611763280683375, rel=1e-12
         )
+
+    def test_thousand_samples_pass(self, capsys):
+        # Seed 1 at 1000 samples draws an input that control-C entangles to
+        # 0.0487 only: below 0.05, above the bound the sampler's floor
+        # guarantees.
+        code, out, _ = run(capsys, "gates", "--samples", "1000")
+        assert code == 0
+        checks = json.loads(out)["results"]["checks"]
+        assert cli._ENTANGLED_MIN <= checks["control_c_second_coefficient_min"] < 0.05
+
+    def test_entangled_min_is_the_floor_infimum(self):
+        # A product input with every amplitude magnitude at the floor is the
+        # least entangled control-C output; it reads the bound, less roundoff.
+        m = MIN_MAGNITUDE
+        qubit = np.array([m, math.sqrt(1.0 - m * m)], dtype=complex)
+        state = control_c_phase().apply(np.kron(qubit, qubit))
+        second = float(schmidt(state, 1)[1])
+        assert second >= cli._ENTANGLED_MIN
+        assert second - cli._ENTANGLED_MIN <= 2e-12
+        assert cli._ENTANGLED_MIN + 1e-12 == pytest.approx(0.0198038838612, rel=0, abs=1e-13)
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_no_samples_is_config_error(self, capsys, samples):
@@ -410,16 +453,15 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("row", [0, 3])
     def test_nan_truth_table_error_is_refused(self, capsys, monkeypatch, row):
-        # A NaN phase behind a finite leakage, first or last among the errors.
+        # A NaN amplitude behind a finite leakage, first or last among the errors.
         real = analysis.truth_table
 
-        def nan_phase(*args, **kwargs):
-            table = real(*args, **kwargs)
-            rows = list(table.rows)
-            rows[row] = TruthTableRow(rows[row].occupations, complex(math.nan, 0.0), 1.0)
-            return TruthTable(rows=tuple(rows), leakage=table.leakage)
+        def nan_amplitude(*args, **kwargs):
+            amplitudes, leakage = real(*args, **kwargs)
+            amplitudes[row] = complex(math.nan, 0.0)
+            return amplitudes, leakage
 
-        monkeypatch.setattr(cli.analysis, "truth_table", nan_phase)
+        monkeypatch.setattr(cli.analysis, "truth_table", nan_amplitude)
         code, out, err = run(capsys, "truth-table")
         assert code == 2
         assert out == ""
@@ -444,6 +486,7 @@ class TestNonFiniteInputs:
         ("scan", "--time", "5"),
         ("scan", "--nmax", "4"),
         ("truth-table", "--nmax", "1"),
+        ("truth-table", "--k", "2"),
         ("scan", "--k", "2"),
         ("verify", "--k", "2"),
     ],
@@ -472,7 +515,7 @@ CORE_CONFIG = {"command", "n_outer", "couplings", "w", "tol"}
     "argv,keys",
     [
         pytest.param(("verify",), CORE_CONFIG | {"n_max", "t"}, id="verify"),
-        pytest.param(("truth-table",), CORE_CONFIG | {"k", "format", "t"}, id="truth-table"),
+        pytest.param(("truth-table",), CORE_CONFIG | {"format", "t"}, id="truth-table"),
         pytest.param(
             ("gates", "--samples", "1"), {"command", "theta", "samples"}, id="gates"
         ),
@@ -489,12 +532,17 @@ def test_config_lists_the_command_flags(capsys, argv, keys):
     assert set(json.loads(out)["config"]) == keys
 
 
-@pytest.mark.parametrize("command", ["truth-table"])
-def test_winding_below_one_is_config_error(capsys, command):
-    code, out, err = run(capsys, command, "--k", "0")
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--n-outer", "0"), ("truth-table", "--n-outer", "0"),
+     ("scan", "--n-outer", "-2", "--g", "1", "2")],
+    ids=lambda argv: argv[0],
+)
+def test_n_outer_below_one_is_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "--k" in err
+    assert err == "error: --n-outer must be at least 1\n"
 
 
 def test_reports_are_byte_stable(tmp_path):
@@ -596,3 +644,27 @@ def test_readme_commands_pass(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0, f"couplersim {shlex.join(argv)} exited {code}: {err}"
         assert out
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """python -W error -m couplersim with the package's source on the path."""
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "couplersim", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=False,
+    )
+
+
+def test_module_entry_point_reports(capsys):
+    proc = run_module("verify")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert proc.stdout == out
+
+
+def test_module_entry_point_overflow_is_one_error_line():
+    proc = run_module("verify", "--g", "1.7e308")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
