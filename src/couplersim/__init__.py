@@ -8,9 +8,6 @@ coupler on two and three qubits.
 """
 
 from .analysis import (
-    ScanHit,
-    extract_gate,
-    family_gates,
     gate_time,
     random_product_states,
     scan_times,
@@ -19,8 +16,6 @@ from .analysis import (
 )
 from .coupler import (
     CouplerParams,
-    FactorCoefficients,
-    FactorizationReport,
     NearSingularity,
     algebra_check,
     build_hamiltonian,

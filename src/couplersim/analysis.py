@@ -2,16 +2,16 @@
 
 Bridges the Fock-space propagator and the qubit gate family: finds the
 interaction times at which the coupler acts as a pure phase pattern, measures
-the diagonal amplitudes of the computational inputs, extracts the effective
-gate, and measures entanglement by Schmidt coefficients; no verdict is made
-here.  truth_table, extract_gate and scan_times take the coupler alone and
-no layout: they build the excitation blocks K <= N+1 that hold the
-occupation-0/1 inputs from N, so they have no truncation to choose.  The
-gate times have a closed form for any couplings: the one-mode coupling
-matrix has eigenvalues +-||g|| and 0, so the interaction is the identity at
-t = 2 pi k / ||g||, the float gate_time returns.  Qubit states travel as
-rows: random product states are drawn as a (count, 2^n) stack and schmidt
-returns the singular values of a whole stack from one SVD.
+the diagonal amplitudes of the computational inputs, and measures
+entanglement by Schmidt coefficients; no verdict is made here.  truth_table
+and scan_times take the coupler alone and no layout: they build the
+excitation blocks K <= N+1 that hold the occupation-0/1 inputs from N, so
+they have no truncation to choose.  The gate times have a closed form for
+any couplings: the one-mode coupling matrix has eigenvalues +-||g|| and 0,
+so the interaction is the identity at t = 2 pi k / ||g||, the float
+gate_time returns.  Qubit states travel as rows: random product states are
+drawn as a (count, 2^n) stack and schmidt returns the singular values of a
+whole stack from one SVD.
 """
 
 from __future__ import annotations
@@ -29,15 +29,7 @@ from .coupler import (
 )
 from .engine import eigh_hermitian, finite_max
 from .fock import ModeLayout, block_occupations
-from .gates import (
-    QubitGate,
-    control_c_phase,
-    control_phase_shift,
-    identity_gate,
-    relative_phase_2,
-    relative_phase_n,
-    swap_gate,
-)
+from .gates import identity_gate, relative_phase_2, relative_phase_n, swap_gate
 
 __all__ = [
     "FreePhaseMismatch",
@@ -45,10 +37,8 @@ __all__ = [
     "ScanHit",
     "gate_time",
     "truth_table",
-    "extract_gate",
     "scan_times",
     "schmidt",
-    "family_gates",
     "random_product_states",
 ]
 
@@ -77,7 +67,9 @@ def gate_time(params: CouplerParams, k: int = 1) -> float:
     and w t = (2m + 1) pi for some m >= 0 (odd free phase per excitation).
     t is positive for any signs of the couplings.  Raises ValueError when t
     overflows (||g|| is subnormal) and FreePhaseMismatch when w t misses
-    every odd multiple of pi by more than 1e-9.
+    every odd multiple of pi by more than 1e-9, or when the float spacing at
+    w t exceeds 1e-9 (from |w t| = 2^23 on, and at an infinite w t), where
+    that distance cannot be resolved.
     """
     if k < 1:
         raise ValueError(f"winding number k must be positive, got {k}")
@@ -87,6 +79,11 @@ def gate_time(params: CouplerParams, k: int = 1) -> float:
             f"gate time 2 pi k / ||g|| is not finite (||g|| = {params.coupling_norm})"
         )
     wt = params.w * t
+    if not math.ulp(wt) <= FREE_PHASE_TOL:
+        raise FreePhaseMismatch(
+            f"w*t = {wt:.12g} has float spacing {math.ulp(wt):.3e}, too coarse to "
+            f"resolve an odd multiple of pi (limit {FREE_PHASE_TOL:.1e})"
+        )
     m = round((wt / math.pi - 1.0) / 2.0)
     if m < 0 or abs(wt - (2 * m + 1) * math.pi) > FREE_PHASE_TOL:
         raise FreePhaseMismatch(
@@ -175,37 +172,6 @@ def _restrictions(
     return restrictions, leakage
 
 
-def extract_gate(params: CouplerParams, t: float) -> tuple[QubitGate, float]:
-    """Restriction of the exact propagator to the computational subspace.
-
-    Returns the restriction as a QubitGate (one qubit per mode) together with
-    its unitarity defect ||R^dag R - I||_F as the leakage figure.
-    """
-    evals, v_comp = _computational_spectrum(params)
-    restrictions, leakage = _restrictions(evals, v_comp, np.array([t], dtype=float))
-    gate = QubitGate(params.n_outer + 1, restrictions[0], f"extracted(t={t:.6g})")
-    return gate, float(leakage[0])
-
-
-def family_gates(qubit_count: int) -> list[QubitGate]:
-    """Candidate gates the scanner matches against, for 2 or more qubits.
-
-    Every size offers the identity and the parity gate the coupler applies at
-    its gate times; two qubits add the rest of the two-qubit family.
-    """
-    candidates = [identity_gate(qubit_count)]
-    if qubit_count == 2:
-        candidates += [
-            relative_phase_2(math.pi),
-            control_c_phase(),
-            control_phase_shift(),
-            swap_gate(),
-        ]
-    else:
-        candidates.append(relative_phase_n(qubit_count))
-    return candidates
-
-
 class ScanHit(NamedTuple):
     t: float
     label: str
@@ -215,13 +181,22 @@ class ScanHit(NamedTuple):
 def scan_times(
     params: CouplerParams, *, t_min: float, t_max: float, steps: int, tol: float
 ) -> list[ScanHit]:
-    """Grid search for times where the coupler realizes a family gate.
+    """Grid search for times where the coupler realizes a gate it can realize.
 
-    A grid point is a hit when the extracted gate has leakage <= tol and sits
-    within Frobenius distance tol of one of the family gates.  Results are
-    ordered by t.  H is built once and diagonalized once per block; every
-    grid point is then evaluated from that spectrum, a chunk of points at a
-    time.
+    A grid point is a hit when the restriction R(t) of U(t) to the
+    computational states has leakage ||R^dag R - I||_F <= tol and lies within
+    Frobenius distance tol of a candidate; the hit names the nearest, ties
+    broken on the label.  Results are ordered by t.  A leakage-free R(t) is,
+    up to a phase e^{-i phi K} per excitation K, the identity or the parity
+    gate, or with one nonzero coupling a phased SWAP; those (SWAP at N = 1)
+    are the candidates.  Control-C and the control phase shift are never
+    within 1.45: at N = 1, with z = e^{-i w t}, c = cos ||g|| t and
+    s = sin ||g|| t, R(t) = diag(1, z [[c, -+is], [-+is, c]], z^2 (2c^2 - 1)), so
+        ||R - diag(1, 1, 1, -1)||^2 = 2|zc - 1|^2 + 2s^2 + |z^2 (2c^2 - 1) + 1|^2
+    is least, 4 - 3 * 2^(-2/3) = 1.4526247^2, at c = 2^(-2/3) and z = 1, and
+        ||R - diag(1, 1, -1, -1)||^2 = 4 + |z^2 (2c^2 - 1) + 1|^2 >= 2^2.
+    H is built once and diagonalized once per block; every grid point is
+    then evaluated from that spectrum, a chunk of points at a time.
     """
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
@@ -231,7 +206,11 @@ def scan_times(
         )
     if not t_min < t_max:
         raise ValueError(f"need t_min < t_max, got [{t_min}, {t_max}]")
-    candidates = family_gates(params.n_outer + 1)
+    modes = params.n_outer + 1
+    if modes == 2:
+        candidates = [identity_gate(2), relative_phase_2(math.pi), swap_gate()]
+    else:
+        candidates = [identity_gate(modes), relative_phase_n(modes)]
     labels = [c.label for c in candidates]
     family = np.stack([c.matrix for c in candidates])
     evals, v_comp = _computational_spectrum(params)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from .fock import LayoutMismatch, ModeLayout
 __all__ = [
     "NearSingularity",
     "CouplerParams",
-    "FactorCoefficients",
     "FactorizationReport",
     "singularity_margin",
     "build_hamiltonian",
@@ -154,19 +152,11 @@ def exact_propagator(params: CouplerParams, layout: ModeLayout, t: float) -> lis
     return [expm_hermitian(h, t) for h in build_hamiltonian(params, layout)]
 
 
-class FactorCoefficients(NamedTuple):
-    """Coefficients of the symmetric three-factor disentangling.
+def factor_coefficients(params: CouplerParams, t: float) -> tuple[float, float]:
+    """tan- and sinc-type coefficients (f, h) at interaction angle sqrt(gamma).
 
-    raising_coeff multiplies the two outer exp(eps . sum g_j a^dag b_j)
-    factors, lowering_coeff the middle exp(eps . sum g_j a b_j^dag) one.
-    """
-
-    raising_coeff: float
-    lowering_coeff: float
-
-
-def factor_coefficients(params: CouplerParams, t: float) -> FactorCoefficients:
-    """tan- and sinc-type coefficients at interaction angle sqrt(gamma).
+    f multiplies the two outer exp(eps . sum g_j a^dag b_j) factors, h the
+    middle exp(eps . sum g_j a b_j^dag) one.
 
     Raises NearSingularity when sqrt(gamma) is within DELTA_SINGULARITY of an
     odd multiple of pi, where the tan coefficient diverges, and when the float
@@ -183,7 +173,7 @@ def factor_coefficients(params: CouplerParams, t: float) -> FactorCoefficients:
     else:
         f = math.tan(sg / 2.0) / sg
         h = math.sin(sg) / sg
-    return FactorCoefficients(raising_coeff=f, lowering_coeff=h)
+    return f, h
 
 
 def factorized_propagator(
@@ -194,14 +184,14 @@ def factorized_propagator(
     On block K the free phase exp(-i t w K) is a scalar.
     """
     _check_layout(params, layout)
-    coeffs = factor_coefficients(params, t)
+    f, h = factor_coefficients(params, t)
     c = _raising_modes(params)
     eps = -1j * t
     blocks = []
     for k in range(layout.n_max + 1):
         raising = fock.one_body(c, k)
-        outer = expm_nilpotent(eps * coeffs.raising_coeff * raising)
-        middle = expm_nilpotent(eps * coeffs.lowering_coeff * raising.conj().T)
+        outer = expm_nilpotent(eps * f * raising)
+        middle = expm_nilpotent(eps * h * raising.conj().T)
         blocks.append(np.exp(-1j * t * (params.w * k)) * (outer @ middle @ outer))
     return blocks
 

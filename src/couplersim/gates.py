@@ -31,9 +31,7 @@ __all__ = [
 class QubitGate:
     """A matrix on an n-qubit register with a human-readable label.
 
-    Family constructors produce exactly unitary matrices; gates extracted
-    numerically from dynamics may carry a unitarity defect, which callers
-    quantify separately as leakage.
+    Family constructors produce exactly unitary matrices.
     """
 
     qubit_count: int

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from couplersim.analysis import (
-    extract_gate,
     gate_time,
     random_product_states,
+    scan_times,
     schmidt,
     truth_table,
 )
@@ -113,13 +113,18 @@ def test_criterion_3_three_qubit_truth_table():
         bits = ((code >> 2) & 1, (code >> 1) & 1, code & 1)
         expected[bits] = -1.0 if sum(bits) % 2 else 1.0
     worst = _check_phase_table(params, t, expected, 1e-9)
-    gate, _ = extract_gate(params, t)
-    gate_dist = float(np.linalg.norm(gate.matrix - relative_phase_n(3).matrix))
-    passed = worst <= 1e-9 and gate_dist <= 1e-9
+    # One grid point at t: the scan's restriction against the parity gate.
+    hit = scan_times(params, t_min=t, t_max=t + 1e-12, steps=2, tol=1e-9)[0]
+    passed = (
+        worst <= 1e-9
+        and hit.t == t
+        and hit.label == "relative_phase_3"
+        and hit.distance <= 1e-9
+    )
     report(
         "criterion 3 (three-qubit truth table)",
         passed,
-        f"worst deviation {worst:.3e}, gate distance {gate_dist:.3e}",
+        f"worst deviation {worst:.3e}, {hit.label} at distance {hit.distance:.3e}",
     )
     assert passed
 

@@ -8,8 +8,6 @@ from couplersim import analysis, coupler
 from couplersim.analysis import (
     FreePhaseMismatch,
     NotNormalized,
-    extract_gate,
-    family_gates,
     gate_time,
     random_product_states,
     scan_times,
@@ -21,8 +19,11 @@ from couplersim.fock import block_occupations
 from couplersim.gates import (
     QubitGate,
     control_c_phase,
+    control_phase_shift,
+    identity_gate,
     relative_phase_2,
     relative_phase_n,
+    swap_gate,
 )
 
 from helpers import block_states, random_unitary, tensor_one_body, tensor_totals
@@ -35,6 +36,20 @@ def parity(code):
 
 def equal_params(n_outer, g, w):
     return CouplerParams(w, (g,) * n_outer)
+
+
+def restriction(params, t):
+    """The batched scan's restriction R(t) at one time, and its leakage ||R^dag R - I||_F."""
+    evals, v_comp = analysis._computational_spectrum(params)
+    restrictions, leakage = analysis._restrictions(evals, v_comp, np.array([t]))
+    return restrictions[0], float(leakage[0])
+
+
+def realizable_gates(modes):
+    """The gates a leakage-free restriction can be, up to phases: scan's candidates."""
+    if modes == 2:
+        return [identity_gate(2), relative_phase_2(math.pi), swap_gate()]
+    return [identity_gate(modes), relative_phase_n(modes)]
 
 
 class TestGateTime:
@@ -65,6 +80,20 @@ class TestGateTime:
     def test_free_phase_mismatch(self):
         with pytest.raises(FreePhaseMismatch):
             gate_time(equal_params(1, 1.0, 1.0 / 3.0), k=1)
+
+    def test_unresolvable_free_phase_is_refused(self):
+        # w t = 2e16 pi has float spacing 8: (2m + 1) pi rounds to 2m pi, so
+        # an even multiple would pass as odd.
+        with pytest.raises(FreePhaseMismatch, match="float spacing"):
+            gate_time(CouplerParams(w=1e16, couplings=(1.0,)))
+        # Below w t = 2^23 the spacing is at most 2^-30, under the 1e-9
+        # tolerance; from 2^23 on it is 2^-29 or more.  An infinite w t has
+        # infinite spacing.
+        below = gate_time(CouplerParams(w=1300000.5, couplings=(1.0,)))  # w t = 8.2e6
+        assert below == pytest.approx(2.0 * math.pi, abs=1e-12)
+        for w in (1500000.5, 1e308):  # w t = 9.4e6, inf
+            with pytest.raises(FreePhaseMismatch, match="float spacing"):
+                gate_time(CouplerParams(w=w, couplings=(1.0,)))
 
     def test_unequal_couplings(self):
         # G has eigenvalues +-||g|| and 0, so the interaction winds back at
@@ -129,25 +158,77 @@ class TestTruthTable:
 
 
 class TestExtractGate:
+    """The restriction R(t) that scan_times compares with its candidates."""
+
     def test_two_qubit_gate(self):
         params = equal_params(1, 1.0, 0.5)
-        gate, leakage = extract_gate(params, gate_time(params))
+        gate, leakage = restriction(params, gate_time(params))
         assert leakage <= 1e-9
-        assert_allclose(gate.matrix, np.diag([1, -1, -1, 1]), atol=1e-9)
-        assert np.linalg.norm(gate.matrix - relative_phase_2(math.pi).matrix) <= 1e-9
+        assert_allclose(gate, np.diag([1, -1, -1, 1]), atol=1e-9)
+        assert np.linalg.norm(gate - relative_phase_2(math.pi).matrix) <= 1e-9
 
     def test_three_qubit_gate(self):
         params = equal_params(2, 1.0, math.sqrt(2) / 2.0)
-        gate, leakage = extract_gate(params, gate_time(params))
+        gate, leakage = restriction(params, gate_time(params))
         assert leakage <= 1e-9
-        assert np.linalg.norm(gate.matrix - relative_phase_n(3).matrix) <= 1e-9
+        assert np.linalg.norm(gate - relative_phase_n(3).matrix) <= 1e-9
 
     def test_generic_time_leaks_and_matches_nothing(self):
         params = equal_params(1, 1.0, 0.5)
-        gate, leakage = extract_gate(params, 0.3)
+        gate, leakage = restriction(params, 0.3)
         assert leakage > 0.01
-        for candidate in family_gates(2):
-            assert np.linalg.norm(gate.matrix - candidate.matrix) > 0.1
+        two_qubit_family = (
+            identity_gate(2),
+            relative_phase_2(math.pi),
+            control_c_phase(),
+            control_phase_shift(),
+            swap_gate(),
+        )
+        for candidate in two_qubit_family:
+            assert np.linalg.norm(gate - candidate.matrix) > 0.1
+
+
+# sqrt(4 - 3 * 2^(-2/3)): the closest R(t) comes to control-C at N = 1.
+CONTROL_C_APPROACH = math.sqrt(4.0 - 3.0 * 2.0 ** (-2.0 / 3.0))
+
+
+class TestClosestApproach:
+    """At N = 1 control-C and the control phase shift are out of the coupler's reach."""
+
+    @staticmethod
+    def closed_form(params, times):
+        """diag(1, z [[c, -is], [-is, c]], z^2 cos 2 theta), theta = g t, z = e^{-iwt}."""
+        z = np.exp(-1j * params.w * times)
+        c, s = np.cos(params.couplings[0] * times), np.sin(params.couplings[0] * times)
+        r = np.zeros((len(times), 4, 4), dtype=complex)
+        r[:, 0, 0] = 1.0
+        r[:, 1, 1] = r[:, 2, 2] = z * c
+        r[:, 1, 2] = r[:, 2, 1] = -1j * z * s
+        r[:, 3, 3] = z**2 * (2.0 * c**2 - 1.0)
+        return r
+
+    def test_bounds_hold_on_random_couplers(self):
+        rng = np.random.default_rng(7)
+        times = np.linspace(0.0, 40.0, 20001)
+        for _ in range(20):
+            g = float(rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0]))
+            params = CouplerParams(w=float(rng.uniform(-3.0, 3.0)), couplings=(g,))
+            r, _ = analysis._restrictions(*analysis._computational_spectrum(params), times)
+            assert np.max(np.abs(r - self.closed_form(params, times))) <= 1e-12
+            to_cz = np.linalg.norm(r - control_c_phase().matrix, axis=(1, 2))
+            to_shift = np.linalg.norm(r - control_phase_shift().matrix, axis=(1, 2))
+            assert to_cz.min() >= CONTROL_C_APPROACH - 1e-9
+            assert to_shift.min() >= 2.0 - 1e-9
+
+    @pytest.mark.parametrize("g", [1.0, -1.0])
+    def test_control_c_bound_is_attained(self, g):
+        # c = cos t0 = 2^(-2/3), and w t0 = 2 pi makes z = 1.
+        t0 = math.acos(2.0 ** (-2.0 / 3.0))
+        params = CouplerParams(w=2.0 * math.pi / t0, couplings=(g,))
+        r, _ = restriction(params, t0)
+        distance = np.linalg.norm(r - control_c_phase().matrix)
+        assert distance == pytest.approx(CONTROL_C_APPROACH, rel=0, abs=1e-12)
+        assert CONTROL_C_APPROACH == pytest.approx(1.4526247, rel=0, abs=1e-7)
 
 
 class TestScanTimes:
@@ -206,7 +287,7 @@ def computational_restriction(params, t):
 def reference_scan(params, t_min, t_max, steps, tol):
     """Per-point oracle: read the exact propagator's blocks at every grid point."""
     modes = params.n_outer + 1
-    candidates = family_gates(modes)
+    candidates = realizable_gates(modes)
     comp = range(2**modes)
     hits = []
     for t in np.linspace(t_min, t_max, steps):
@@ -261,9 +342,9 @@ class TestScanOracle:
     def test_extract_gate_matches_propagator_slice(self):
         params = equal_params(2, 0.8, 0.9)
         for t in (0.0, 0.37, 2.9):
-            gate, leakage = extract_gate(params, t)
+            gate, leakage = restriction(params, t)
             r = computational_restriction(params, t)
-            assert np.linalg.norm(gate.matrix - r) <= 1e-12
+            assert np.linalg.norm(gate - r) <= 1e-12
             assert leakage == pytest.approx(
                 np.linalg.norm(r.conj().T @ r - np.eye(8)), abs=1e-12
             )

@@ -134,6 +134,22 @@ class TestTruthTable:
         assert out == ""
         assert "odd multiple" in err
 
+    @pytest.mark.parametrize("w", ["1e308", "1e16", "5000000.5"])
+    def test_unresolvable_free_phase_is_config_error(self, capsys, w):
+        # w t is inf, 2e16 pi (an even multiple once (2m + 1) pi rounds) and
+        # 1e7 pi (spacing 3.7e-9): the float spacing at w t exceeds 1e-9.
+        code, out, err = run(capsys, "truth-table", "--w", w)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "float spacing" in err
+
+    def test_resolvable_free_phase_passes(self, capsys):
+        # w t = 1e6 pi has float spacing 4.7e-10, under 1e-9.
+        code, out, err = run(capsys, "truth-table", "--w", "500000.5")
+        assert code == 0, err
+        assert json.loads(out)["max_error"] <= 1e-9
+
     def test_negative_coupling_evolves_forward(self, capsys):
         code, out, _ = run(capsys, "truth-table", "--g", "-1")
         assert code == 0
@@ -328,6 +344,14 @@ class TestScan:
         assert out.splitlines() == ["t,label,distance"] + [
             f"{h['t']!r},{h['label']},{h['distance']!r}" for h in hits
         ]
+
+    def test_unreachable_gates_are_not_candidates(self, capsys):
+        # Within 1.6 of R(t) lie grid points that are 1.45 from control-C;
+        # only the identity, the parity gate and SWAP may be named.
+        code, out, err = run(capsys, "scan", "--tol", "1.6", "--steps", "400")
+        assert code == 0, err
+        labels = {h["label"] for h in json.loads(out)["results"]["hits"]}
+        assert labels == {"identity", "relative_phase_2(3.14159)", "swap"}
 
     def test_four_modes_hit_the_parity_gate(self, capsys):
         # N = 3 with equal couplings: the gate time is 2 pi / sqrt(3).

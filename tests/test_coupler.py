@@ -156,9 +156,9 @@ class TestFactorCoefficients:
         # closed forms evaluated at the same angle
         params, _ = params_and_layout(1, 1.0, 0.0, 1)
         x = 0.99e-4
-        series = factor_coefficients(params, x)
-        assert series.raising_coeff == pytest.approx(math.tan(x / 2.0) / x, abs=1e-14)
-        assert series.lowering_coeff == pytest.approx(math.sin(x) / x, abs=1e-14)
+        f, h = factor_coefficients(params, x)
+        assert f == pytest.approx(math.tan(x / 2.0) / x, abs=1e-14)
+        assert h == pytest.approx(math.sin(x) / x, abs=1e-14)
 
     @pytest.mark.parametrize("sqrt_gamma", [math.pi, 3.0 * math.pi])
     def test_near_singularity(self, sqrt_gamma):
