@@ -64,7 +64,7 @@ def gate_time(params: CouplerParams, k: int = 1) -> float:
     """Gate time of winding k, t = 2 pi k / ||g||, for any couplings.
 
     t satisfies ||g|| t = 2 pi k (the interaction winds back to the identity)
-    and w t = (2m + 1) pi for some m >= 0 (odd free phase per excitation).
+    and w t = (2m + 1) pi for some integer m (odd free phase per excitation).
     t is positive for any signs of the couplings.  Raises ValueError when t
     overflows (||g|| is subnormal) and FreePhaseMismatch when w t misses
     every odd multiple of pi by more than 1e-9, or when the float spacing at
@@ -85,7 +85,7 @@ def gate_time(params: CouplerParams, k: int = 1) -> float:
             f"resolve an odd multiple of pi (limit {FREE_PHASE_TOL:.1e})"
         )
     m = round((wt / math.pi - 1.0) / 2.0)
-    if m < 0 or abs(wt - (2 * m + 1) * math.pi) > FREE_PHASE_TOL:
+    if abs(wt - (2 * m + 1) * math.pi) > FREE_PHASE_TOL:
         raise FreePhaseMismatch(
             f"w*t = {wt:.12g} is not an odd multiple of pi (k={k}, w={params.w})"
         )

@@ -4,10 +4,11 @@ This is the internal oracle layer: a Hermitian eigendecomposition, the
 Hermitian propagator built on it, and the exponential of a nilpotent matrix
 as its terminating power series.  Its inputs are built square (fock.one_body
 blocks, QubitGate matrices), and the blocks eigh takes, images of a Hermitian
-mode matrix, are exactly Hermitian; so only non-finite entries, a LAPACK
-failure and a series that does not terminate are checked.  finite_max is
-the reduction every reported worst case goes through, so a NaN or inf is
-refused rather than dropped or reported.
+mode matrix, are exactly Hermitian; so only non-finite entries and a series
+that does not terminate are checked.  A LAPACK failure surfaces as numpy's
+LinAlgError, a ValueError, so the command line exits 2 on it as on the two
+refusals here.  finite_max is the reduction every reported worst case goes
+through, so a NaN or inf is refused rather than dropped or reported.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "EngineError",
-    "EigenFailure",
     "NonFinite",
     "NotNilpotent",
     "eigh_hermitian",
@@ -29,19 +28,11 @@ __all__ = [
 ]
 
 
-class EngineError(ValueError):
+class NonFinite(ValueError):
     pass
 
 
-class EigenFailure(EngineError):
-    pass
-
-
-class NonFinite(EngineError):
-    pass
-
-
-class NotNilpotent(EngineError):
+class NotNilpotent(ValueError):
     pass
 
 
@@ -49,15 +40,12 @@ def eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues ascending, unitary V) with H = V diag(eigenvalues) V^dag.
 
     H must be Hermitian; like numpy.linalg.eigh, only its lower triangle is
-    read.  Non-finite input is refused as NonFinite, and a LAPACK failure,
-    a non-square H included, is raised as EigenFailure.
+    read.  Non-finite input is refused as NonFinite; a LAPACK failure, a
+    non-square H included, surfaces as numpy's LinAlgError, a ValueError.
     """
     if not np.all(np.isfinite(h)):
         raise NonFinite("H contains non-finite entries")
-    try:
-        return np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
+    return np.linalg.eigh(h)
 
 
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:

@@ -77,6 +77,15 @@ class TestGateTime:
         t = gate_time(equal_params(1, -1.0, 0.5), k=1)
         assert t == pytest.approx(2.0 * math.pi, abs=1e-12)
 
+    def test_negative_free_phase(self):
+        # w t = -pi is the odd multiple with m = -1.
+        params = CouplerParams(w=-0.5, couplings=(1.0,))
+        t = gate_time(params)
+        assert t == pytest.approx(2.0 * math.pi, abs=1e-12)
+        amplitudes, leakage = truth_table(params, t)
+        assert leakage <= 1e-9
+        assert_allclose(amplitudes, [parity(x) for x in range(4)], rtol=0, atol=1e-9)
+
     def test_free_phase_mismatch(self):
         with pytest.raises(FreePhaseMismatch):
             gate_time(equal_params(1, 1.0, 1.0 / 3.0), k=1)

@@ -150,6 +150,15 @@ class TestTruthTable:
         assert code == 0, err
         assert json.loads(out)["max_error"] <= 1e-9
 
+    @pytest.mark.parametrize("w", ["-0.5", "-1.5"])
+    def test_negative_free_phase_passes(self, capsys, w):
+        # w t = -pi and -3 pi are odd multiples of pi too.
+        code, out, err = run(capsys, "truth-table", "--w", w)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["config"]["t"] == pytest.approx(2.0 * math.pi, abs=1e-12)
+        assert report["max_error"] <= 1e-9
+
     def test_negative_coupling_evolves_forward(self, capsys):
         code, out, _ = run(capsys, "truth-table", "--g", "-1")
         assert code == 0
@@ -567,6 +576,20 @@ def test_n_outer_below_one_is_config_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "error: --n-outer must be at least 1\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_lapack_failure_is_config_error(capsys, monkeypatch, command):
+    # numpy's LinAlgError is a ValueError, so main reports it as one line.
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code, out, err = run(capsys, command)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "converge" in err
 
 
 def test_reports_are_byte_stable(tmp_path):
