@@ -60,6 +60,17 @@ class NotNormalized(ValueError):
     pass
 
 
+def _free_phase(params: CouplerParams, t: float) -> float:
+    """w t, refused when its float spacing exceeds 1e-9, too coarse for its phase."""
+    wt = params.w * t
+    if not math.ulp(wt) <= FREE_PHASE_TOL:
+        raise FreePhaseMismatch(
+            f"w*t = {wt:.12g} has float spacing {math.ulp(wt):.3e}, too coarse to "
+            f"resolve an odd multiple of pi (limit {FREE_PHASE_TOL:.1e})"
+        )
+    return wt
+
+
 def gate_time(params: CouplerParams, k: int = 1) -> float:
     """Gate time of winding k, t = 2 pi k / ||g||, for any couplings.
 
@@ -78,12 +89,7 @@ def gate_time(params: CouplerParams, k: int = 1) -> float:
         raise ValueError(
             f"gate time 2 pi k / ||g|| is not finite (||g|| = {params.coupling_norm})"
         )
-    wt = params.w * t
-    if not math.ulp(wt) <= FREE_PHASE_TOL:
-        raise FreePhaseMismatch(
-            f"w*t = {wt:.12g} has float spacing {math.ulp(wt):.3e}, too coarse to "
-            f"resolve an odd multiple of pi (limit {FREE_PHASE_TOL:.1e})"
-        )
+    wt = _free_phase(params, t)
     m = round((wt / math.pi - 1.0) / 2.0)
     if abs(wt - (2 * m + 1) * math.pi) > FREE_PHASE_TOL:
         raise FreePhaseMismatch(
@@ -119,8 +125,10 @@ def truth_table(
     The 2^(N+1) amplitudes come in binary order of x, mode 0 most significant.
     leakage is the worst case over inputs of the norm of the input's column
     without its diagonal entry: the amplitude that left the input, whether to
-    another computational state or out of the computational subspace.
+    another computational state or out of the computational subspace.  t is
+    refused as gate_time refuses it when the float spacing at w t exceeds 1e-9.
     """
+    _free_phase(params, t)
     layout, _, totals, position = _computational_space(params)
     if method not in ("exact", "factorized"):
         raise ValueError(f"unknown propagator method {method!r}")

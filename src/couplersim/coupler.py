@@ -23,13 +23,13 @@ sum_kl m[k, l] c_k^dag c_l (fock.one_body, with c_0 = a and c_j = b_j) of an
 0 equal to (0, g_1, ..., g_N) for A+, and (sum_j g_j^2 e_00 - g g^T) / 2 for
 the su(2) generator J3.  The coupler is (w, couplings) alone.  Its operators
 conserve excitation, so each is passed as the list of its dense blocks
-K = 0..n_max of a layout, built exactly, and the identity is checked block by
-block; n_max only chooses how many blocks, so any n_max >= 1 fits the
-params.  f diverges when sqrt(gamma) hits an odd multiple of pi, and
-evaluation is refused near those points rather than clamped.  Each factor
-has a closed form: A+ and A- are nilpotent, so their exponentials are finite
-series, and the free phase exp(-i t w K) is one scalar per block.  The
-checks here measure; the caller decides pass or fail.
+K = 0..n_max, built exactly, and the identity is checked block by block.
+N comes from params; the layout supplies only n_max, how many blocks.  f
+diverges when sqrt(gamma) hits an odd multiple of pi, and evaluation is
+refused near those points rather than clamped.  Each factor has a closed
+form: A+ and A- are nilpotent, so their exponentials are finite series, and
+the free phase exp(-i t w K) is one scalar per block.  The checks here
+measure; the caller decides pass or fail.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import fock
 from .engine import expm_hermitian, expm_nilpotent, finite_max
-from .fock import LayoutMismatch, ModeLayout
+from .fock import ModeLayout
 
 __all__ = [
     "NearSingularity",
@@ -123,15 +123,6 @@ def singularity_margin(sqrt_gamma: float) -> float:
     return abs(sqrt_gamma % (2.0 * math.pi) - math.pi)
 
 
-def _check_layout(params: CouplerParams, layout: ModeLayout) -> None:
-    """Any n_max is a valid choice of blocks; the mode count must be N + 1."""
-    if layout.mode_count != params.n_outer + 1:
-        raise LayoutMismatch(
-            f"layout has {layout.mode_count} modes, params N={params.n_outer} need "
-            f"{params.n_outer + 1}"
-        )
-
-
 def _raising_modes(params: CouplerParams) -> np.ndarray:
     """Mode matrix of A+ = sum_j g_j a^dag b_j: row 0 holds (0, g_1, ..., g_N)."""
     c = np.zeros((params.n_outer + 1, params.n_outer + 1))
@@ -141,9 +132,8 @@ def _raising_modes(params: CouplerParams) -> np.ndarray:
 
 def build_hamiltonian(params: CouplerParams, layout: ModeLayout) -> list[np.ndarray]:
     """Blocks K = 0..n_max of w N_tot + sum_j g_j (a^dag b_j + a b_j^dag), modes w I + G."""
-    _check_layout(params, layout)
     c = _raising_modes(params)
-    m = params.w * np.eye(layout.mode_count) + c + c.T
+    m = params.w * np.eye(len(c)) + c + c.T
     return [fock.one_body(m, k) for k in range(layout.n_max + 1)]
 
 
@@ -183,7 +173,6 @@ def factorized_propagator(
 
     On block K the free phase exp(-i t w K) is a scalar.
     """
-    _check_layout(params, layout)
     f, h = factor_coefficients(params, t)
     c = _raising_modes(params)
     eps = -1j * t
@@ -249,14 +238,15 @@ def algebra_check(params: CouplerParams, layout: ModeLayout) -> float:
     and [J3, J+-] = +-kappa J+-.  They are the relations of the paper's scaled
     generators L+- = eps J+-, L3 = eps^2 J3 with the powers of eps = -i t
     divided out, so the residual carries no t-dependent scale and the sign is
-    fixed.  Both sides are homogeneous in g (degree 2 in the first relation,
-    3 in the others), so they are checked on the unit couplings g / ||g||:
-    the residual is scale free, and no coupling large enough to overflow
-    kappa or a commutator reaches them.  Each relation is checked on every
-    block K = 0..n_max; its residual is the Frobenius norm over all blocks,
-    sqrt(sum_K ||r_K||^2), and the largest of the three is returned.
+    fixed.  J3 is Hermitian (the image of a real symmetric mode matrix), so the
+    J- residual is minus the adjoint of the J+ one and is not formed.  Both
+    sides are homogeneous in g (degree 2 in the first relation, 3 in the
+    second), so they are checked on the unit couplings g / ||g||: the
+    residual is scale free, and no coupling large enough to overflow kappa or
+    a commutator reaches them.  Each relation is checked on every block
+    K = 0..n_max; its residual is the Frobenius norm over all blocks,
+    sqrt(sum_K ||r_K||^2), and the larger of the two is returned.
     """
-    _check_layout(params, layout)
     norm = params.coupling_norm
     unit = replace(params, couplings=tuple(g / norm for g in params.couplings))
     plus_modes, j3_modes = _su2_generators(unit)
@@ -265,14 +255,11 @@ def algebra_check(params: CouplerParams, layout: ModeLayout) -> float:
     def comm(x, y):
         return x @ y - y @ x
 
-    squares = np.zeros(3)
+    squares = np.zeros(2)
     for k in range(layout.n_max + 1):
         j_plus, j3 = fock.one_body(plus_modes, k), fock.one_body(j3_modes, k)
-        j_minus = j_plus.conj().T
-        residuals = (
-            comm(j_plus, j_minus) - 2.0 * j3,
-            comm(j3, j_plus) - kappa * j_plus,
-            comm(j3, j_minus) + kappa * j_minus,
-        )
-        squares += [np.linalg.norm(r) ** 2 for r in residuals]
+        squares += [
+            np.linalg.norm(comm(j_plus, j_plus.conj().T) - 2.0 * j3) ** 2,
+            np.linalg.norm(comm(j3, j_plus) - kappa * j_plus) ** 2,
+        ]
     return finite_max(np.sqrt(squares), "algebra residual")

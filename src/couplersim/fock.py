@@ -7,8 +7,8 @@ in K, so it is built one block at a time: one_body(m, k) is its block K, a
 dense square on the C(K + M - 1, M - 1) occupation tuples of total K, ordered
 lexicographically.  A one-body operator maps each block into itself, so a
 block, and every sum and product of blocks, is exact: no matrix element is
-dropped.  A layout holds the blocks K = 0..n_max.  Mode 0 is the central
-waveguide mode; the outer modes follow in order.
+dropped.  A layout holds the blocks K = 0..n_max; the coupler reads only its
+n_max.  Mode 0 is the central waveguide mode; the outer modes follow in order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "FockError",
     "LengthMismatch",
-    "LayoutMismatch",
     "ModeLayout",
     "one_body",
     "block_occupations",
@@ -35,10 +34,6 @@ class FockError(ValueError):
 
 class LengthMismatch(FockError):
     """A mode matrix is not square."""
-
-
-class LayoutMismatch(FockError):
-    """Operands were built over different mode layouts."""
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,16 @@ class TestTruthTable:
         assert leakage <= 1e-12
         assert_allclose(amplitudes, np.ones(4), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("method", ["exact", "factorized"])
+    def test_unresolvable_explicit_time_is_refused(self, method):
+        # An explicit t meets gate_time's rule: at t = 1e17, w t = 5e16 has
+        # float spacing 8, so the phases e^{-i t lambda} carry no correct digit.
+        params = equal_params(1, 1.0, 0.5)
+        with pytest.raises(FreePhaseMismatch, match="w\\*t = 5e\\+16 has float spacing"):
+            truth_table(params, 1e17, method=method)
+        # Spacing 9.3e-10 at w t is under 1e-9, so this time is evaluated.
+        truth_table(params, 9999997.292456362, method=method)
+
     def test_serialization(self):
         # cli labels the report rows by the binary code of each amplitude's
         # index (see test_cli's test_csv_format): input x = (n_0 ... n_N),

@@ -150,6 +150,26 @@ class TestTruthTable:
         assert code == 0, err
         assert json.loads(out)["max_error"] <= 1e-9
 
+    @pytest.mark.parametrize("method", ["exact", "factorized"])
+    def test_unresolvable_explicit_time_is_config_error(self, capsys, method):
+        # --time 1e17 puts w t = 5e16 where the float spacing is 8, the rule
+        # the default gate time meets; the message is the same for both methods.
+        code, out, err = run(capsys, "truth-table", "--method", method, "--time", "1e17")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: w*t = 5e+16 has float spacing 8.000e+00, too coarse to resolve "
+            "an odd multiple of pi (limit 1.0e-09)\n"
+        )
+
+    def test_resolvable_explicit_time_is_evaluated(self, capsys):
+        # w t = 1570799.47 has float spacing 2.3e-10, under 1e-9.
+        code, out, err = run(
+            capsys, "truth-table", "--method", "factorized", "--time", "3141598.9367751004"
+        )
+        assert code == 0, err
+        assert json.loads(out)["max_error"] <= 1e-9
+
     @pytest.mark.parametrize("w", ["-0.5", "-1.5"])
     def test_negative_free_phase_passes(self, capsys, w):
         # w t = -pi and -3 pi are odd multiples of pi too.
