@@ -204,7 +204,9 @@ def scan_times(
     is least, 4 - 3 * 2^(-2/3) = 1.4526247^2, at c = 2^(-2/3) and z = 1, and
         ||R - diag(1, 1, -1, -1)||^2 = 4 + |z^2 (2c^2 - 1) + 1|^2 >= 2^2.
     H is built once and diagonalized once per block; every grid point is
-    then evaluated from that spectrum, a chunk of points at a time.
+    then evaluated from that spectrum, a chunk of points at a time.  The
+    range is refused as gate_time refuses a time whose w t has float spacing
+    above 1e-9; |w t| is largest at t_min or t_max.
     """
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
@@ -214,6 +216,8 @@ def scan_times(
         )
     if not t_min < t_max:
         raise ValueError(f"need t_min < t_max, got [{t_min}, {t_max}]")
+    _free_phase(params, t_min)
+    _free_phase(params, t_max)
     modes = params.n_outer + 1
     if modes == 2:
         candidates = [identity_gate(2), relative_phase_2(math.pi), swap_gate()]

@@ -9,6 +9,9 @@ lexicographically.  A one-body operator maps each block into itself, so a
 block, and every sum and product of blocks, is exact: no matrix element is
 dropped.  A layout holds the blocks K = 0..n_max; the coupler reads only its
 n_max.  Mode 0 is the central waveguide mode; the outer modes follow in order.
+As in engine, the inputs are package-built: the coupler's square mode
+matrices, at least two modes, and K from a loop over range; only a layout's
+n_max, which the command line sets, is checked.
 """
 
 from __future__ import annotations
@@ -19,21 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "FockError",
-    "LengthMismatch",
-    "ModeLayout",
-    "one_body",
-    "block_occupations",
-]
-
-
-class FockError(ValueError):
-    """Base class for Fock-space contract violations."""
-
-
-class LengthMismatch(FockError):
-    """A mode matrix is not square."""
+__all__ = ["ModeLayout", "one_body", "block_occupations"]
 
 
 @dataclass(frozen=True)
@@ -44,10 +33,8 @@ class ModeLayout:
     n_max: int
 
     def __post_init__(self) -> None:
-        if self.mode_count < 2:
-            raise FockError(f"need at least two modes, got {self.mode_count}")
         if self.n_max < 1:
-            raise FockError(f"need n_max >= 1, got {self.n_max}")
+            raise ValueError(f"need n_max >= 1, got {self.n_max}")
 
     @property
     def dim(self) -> int:
@@ -72,8 +59,6 @@ def _block(mode_count: int, k: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]
     For i != j, a_i^dag a_j takes basis state src, occupations n, to dst with
     element sqrt((n_i + 1) n_j).
     """
-    if k < 0:
-        raise FockError(f"need an excitation K >= 0, got {k}")
     rows = list(_compositions(k, mode_count))
     index = {occ: s for s, occ in enumerate(rows)}
     table = np.array(rows, dtype=np.int64)
@@ -97,14 +82,12 @@ def block_occupations(mode_count: int, k: int) -> np.ndarray:
 def one_body(m, k: int) -> np.ndarray:
     """Block K of sum_ij m[i, j] a_i^dag a_j, the Fock-space image of a mode matrix.
 
-    m is an M x M matrix; the result is a dense complex square on the basis
-    block_occupations(M, k).  a_i^dag a_i is n_i, on the diagonal; each move
-    of a quantum fills its own entry, so every entry is one coefficient times
-    one element.
+    m must be a square M x M mode matrix and k >= 0; neither is checked.  The
+    result is a dense complex square on the basis block_occupations(M, k).
+    a_i^dag a_i is n_i, on the diagonal; each move of a quantum fills its own
+    entry, so every entry is one coefficient times one element.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or len(m) == 0:
-        raise LengthMismatch(f"mode matrix of shape {m.shape}, expected a nonempty square")
     table, (dst, src, i, j, element) = _block(len(m), k)
     out = np.zeros((len(table), len(table)), dtype=complex)
     out[np.diag_indices(len(table))] = table @ np.diag(m)

@@ -5,7 +5,9 @@ the coupler's computational inputs are listed (j1 is the central mode).
 Everything in the family is diagonal in the computational basis except SWAP;
 the n-qubit relative phase gate is built directly as its parity diagonal,
 -1 on odd-parity basis states.  A gate applies to one state vector or to
-each row of a stack of states.
+each row of a stack of states.  As in engine, the inputs are package-built:
+every constructor passes a complex matrix of side 2^n, and a gate reads its
+qubit count n from that matrix, so the shape is not checked again.
 """
 
 from __future__ import annotations
@@ -29,23 +31,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QubitGate:
-    """A matrix on an n-qubit register with a human-readable label.
+    """A complex 2^n x 2^n matrix on an n-qubit register with a human-readable label.
 
     Family constructors produce exactly unitary matrices.
     """
 
-    qubit_count: int
     matrix: np.ndarray
     label: str
 
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = 2**self.qubit_count
-        if mat.shape != (dim, dim):
-            raise ValueError(
-                f"{self.label}: expected a {dim}x{dim} matrix, got {mat.shape}"
-            )
-        object.__setattr__(self, "matrix", mat)
+    @property
+    def qubit_count(self) -> int:
+        return len(self.matrix).bit_length() - 1
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """The gate applied to one state (2^n,) or to each row of a stack (..., 2^n)."""
@@ -58,17 +54,17 @@ class QubitGate:
 
 def one_qubit_phase(theta: float) -> QubitGate:
     """diag(1, e^{i theta}): phases |1>, leaves |0> alone."""
-    return QubitGate(1, np.diag([1.0, np.exp(1j * theta)]), f"one_qubit_phase({theta:g})")
+    return QubitGate(np.diag([1.0, np.exp(1j * theta)]), f"one_qubit_phase({theta:g})")
 
 
 def control_c_phase() -> QubitGate:
     """diag(1, 1, 1, -1): |m,n> -> e^{i m n pi} |m,n>."""
-    return QubitGate(2, np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex), "control_c_phase")
+    return QubitGate(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex), "control_c_phase")
 
 
 def control_phase_shift() -> QubitGate:
     """diag(1, 1, -1, -1): |m,n> -> e^{i m pi} |m,n>, phase set by the control bit."""
-    return QubitGate(2, np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex), "control_phase_shift")
+    return QubitGate(np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex), "control_phase_shift")
 
 
 def swap_gate() -> QubitGate:
@@ -77,7 +73,7 @@ def swap_gate() -> QubitGate:
     for m in (0, 1):
         for n in (0, 1):
             mat[2 * n + m, 2 * m + n] = 1.0
-    return QubitGate(2, mat, "swap")
+    return QubitGate(mat, "swap")
 
 
 def relative_phase_2(theta: float) -> QubitGate:
@@ -87,7 +83,7 @@ def relative_phase_2(theta: float) -> QubitGate:
     conditional gate realized by the coupler at its gate time.
     """
     ph = np.exp(1j * theta)
-    return QubitGate(2, np.diag([1.0, ph, ph, 1.0]), f"relative_phase_2({theta:g})")
+    return QubitGate(np.diag([1.0, ph, ph, 1.0]), f"relative_phase_2({theta:g})")
 
 
 def relative_phase_n(n: int) -> QubitGate:
@@ -100,21 +96,18 @@ def relative_phase_n(n: int) -> QubitGate:
     if n < 3:
         raise ValueError(f"relative_phase_n takes n >= 3 qubits, got {n}")
     odd = np.bitwise_count(np.arange(2**n)) % 2
-    return QubitGate(n, np.diag(np.where(odd, -1.0, 1.0).astype(complex)), f"relative_phase_{n}")
+    return QubitGate(np.diag(np.where(odd, -1.0, 1.0).astype(complex)), f"relative_phase_{n}")
 
 
 def identity_gate(n: int) -> QubitGate:
-    return QubitGate(n, np.eye(2**n, dtype=complex), "identity")
+    return QubitGate(np.eye(2**n, dtype=complex), "identity")
 
 
 def compose(gates: list[QubitGate]) -> QubitGate:
     """Matrix product of the gates; the rightmost gate acts first."""
     if not gates:
         raise ValueError("compose needs at least one gate")
-    n = gates[0].qubit_count
-    if any(g.qubit_count != n for g in gates):
-        raise ValueError("cannot compose gates on different register sizes")
-    mat = np.eye(2**n, dtype=complex)
+    mat = np.eye(len(gates[0].matrix), dtype=complex)
     for g in gates:
         mat = mat @ g.matrix
-    return QubitGate(n, mat, "*".join(g.label for g in gates))
+    return QubitGate(mat, "*".join(g.label for g in gates))

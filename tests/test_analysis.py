@@ -284,6 +284,31 @@ class TestScanTimes:
         with pytest.raises(TypeError):
             scan_times(params, 0.1, 13.0, 100, 0.05)
 
+    @pytest.mark.parametrize(
+        "w, t_min, t_max",
+        [
+            (0.5, 1e17, 1.0000000000001e17),  # both ends
+            (1e6, 0.1, 13.0),  # t_max only: w*t = 1e5 and 1.3e7
+            (0.5, -1e17, 0.1),  # t_min only
+        ],
+    )
+    def test_unresolvable_free_phase_is_refused(self, w, t_min, t_max):
+        # The phases e^{-i t lambda} carry no digit where w*t has float
+        # spacing above 1e-9; a scan there would report a miss, not refuse.
+        params = equal_params(1, 1.0, w)
+        with pytest.raises(FreePhaseMismatch, match="float spacing"):
+            scan_times(params, t_min=t_min, t_max=t_max, steps=20, tol=0.05)
+
+    def test_free_phase_limit_is_at_the_ends(self):
+        # the range is resolved up to |w*t| just below 2^23, where the spacing
+        # reaches 2^-30 < 1e-9, and refused from 2^23 on
+        params = equal_params(1, 1.0, 0.5)
+        limit = 2.0**24 * (1.0 - 2.0**-52)
+        assert math.ulp(0.5 * limit) <= analysis.FREE_PHASE_TOL
+        scan_times(params, t_min=limit - 1.0, t_max=limit, steps=2, tol=0.05)
+        with pytest.raises(FreePhaseMismatch):
+            scan_times(params, t_min=limit - 1.0, t_max=2.0**24, steps=2, tol=0.05)
+
 
 def computational_restriction(params, t):
     """U(t) on the occupation-0/1 states in binary order, entry by entry from its blocks.
@@ -509,7 +534,7 @@ class TestRandomProductStates:
         for n_qubits in (2, 3):
             states = random_product_states(rng, n_qubits, 300)
             gates = [
-                QubitGate(n_qubits, random_unitary(rng, 2**n_qubits), "random"),
+                QubitGate(random_unitary(rng, 2**n_qubits), "random"),
                 relative_phase_2(math.pi) if n_qubits == 2 else relative_phase_n(3),
             ]
             if n_qubits == 2:

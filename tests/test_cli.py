@@ -399,6 +399,23 @@ class TestScan:
         assert code == 2
         assert "t_min" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--t-min", "1e17", "--t-max", "1.0000000000001e17", "--steps", "20"),
+            ("--w", "1e9", "--t-min", "0.1", "--t-max", "13", "--steps", "50"),
+        ],
+        ids=" ".join,
+    )
+    def test_unresolvable_free_phase_is_config_error(self, capsys, argv):
+        # Where w*t has float spacing above 1e-9 the phases carry no digit;
+        # the range is refused, not reported as a miss with max_error 0.0.
+        code, out, err = run(capsys, "scan", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: w*t = ") and err.count("\n") == 1
+        assert "float spacing" in err
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -442,24 +459,34 @@ class TestNonFiniteInputs:
         assert "float spacing" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ("verify", "--g", "1.7e308"),
-            ("verify", "--w", "1.7e308"),
-            ("truth-table", "--g", "1.7e308", "--method", "exact"),
-            ("truth-table", "--g", "1.7e308", "--method", "factorized"),
-            ("scan", "--g", "1e308", "--steps", "50"),
+            pytest.param(argv, message, id=" ".join(argv))
+            for argv, message in [
+                (("verify", "--g", "1.7e308"), "out of floating-point range"),
+                (("verify", "--w", "1.7e308"), "out of floating-point range"),
+                (
+                    ("truth-table", "--g", "1.7e308", "--method", "exact"),
+                    "out of floating-point range",
+                ),
+                (
+                    ("truth-table", "--g", "1.7e308", "--method", "factorized"),
+                    "out of floating-point range",
+                ),
+                (("scan", "--g", "1e308", "--w", "1", "--steps", "50"), "out of floating-point range"),
+                # the default w = ||g||/2 = 5e307 makes w*t unresolvable first
+                (("scan", "--g", "1e308", "--steps", "50"), "w*t = 5e+306 has float spacing"),
+            ]
         ],
-        ids=" ".join,
     )
-    def test_float_overflow_is_config_error(self, capsys, argv):
+    def test_float_overflow_is_config_error(self, capsys, argv, message):
         # A finite flag whose products overflow is refused with one error
         # line, before any RuntimeWarning or an all-NaN scan grid.
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "out of floating-point range" in err
+        assert message in err
 
     def test_huge_coupling_gives_a_finite_report(self, capsys):
         # Below the spacing limit the distance to a pole is resolved; the
@@ -550,6 +577,17 @@ def test_flag_the_command_does_not_read_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+@pytest.mark.parametrize(
+    "flag, key, value", [("--g=-1e-3", "couplings", [-1e-3]), ("--time=-1e-3", "t", -1e-3)]
+)
+def test_negative_exponent_value_is_attached_with_equals(capsys, flag, key, value):
+    # On Python 3.10-3.13 argparse reads a separate "-1e-3" as a flag, not as
+    # a negative number; "--flag=-1e-3" (or "-0.001") passes it as a value.
+    code, out, err = run(capsys, "verify", flag)
+    assert code == 0, err
+    assert json.loads(out)["config"][key] == value
 
 
 @pytest.mark.parametrize("command", ["verify", "truth-table", "scan"])

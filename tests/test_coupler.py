@@ -41,7 +41,7 @@ class TestParams:
             CouplerParams(w=1.0, couplings=(1.0,), n_max=2)
         params = CouplerParams(w=1.0, couplings=(1.0, 0.5))
         assert params.layout(4) == fock.ModeLayout(3, 4)
-        with pytest.raises(fock.FockError):
+        with pytest.raises(ValueError, match=r"need n_max >= 1, got 0"):
             params.layout(0)
 
     @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])

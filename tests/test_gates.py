@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from couplersim.analysis import random_product_states, schmidt
 from couplersim.engine import is_unitary
 from couplersim.gates import (
-    QubitGate,
     compose,
     control_c_phase,
     control_phase_shift,
@@ -119,9 +118,31 @@ class TestConstructors:
         with pytest.raises(ValueError, match="n >= 3"):
             relative_phase_n(n)
 
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            QubitGate(2, np.eye(3), "bad")
+    @pytest.mark.parametrize(
+        "build, qubits",
+        [
+            (lambda: one_qubit_phase(0.3), 1),
+            (control_c_phase, 2),
+            (control_phase_shift, 2),
+            (swap_gate, 2),
+            (lambda: relative_phase_2(math.pi), 2),
+            *((lambda n=n: relative_phase_n(n), n) for n in range(3, 7)),
+            *((lambda n=n: identity_gate(n), n) for n in range(3, 7)),
+            (
+                lambda: compose(
+                    [control_phase_shift(), swap_gate(), control_phase_shift(), swap_gate()]
+                ),
+                2,
+            ),
+        ],
+    )
+    def test_constructors_build_complex_squares_of_their_register(self, build, qubits):
+        # A gate's qubit count is read from its matrix, so every constructor
+        # must build the complex 2^n x 2^n square its arguments imply.
+        gate = build()
+        assert gate.qubit_count == qubits
+        assert gate.matrix.dtype == np.complex128
+        assert gate.matrix.shape == (2**qubits, 2**qubits)
 
 
 class TestAlgebra:
