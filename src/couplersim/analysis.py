@@ -42,6 +42,10 @@ __all__ = [
     "random_product_states",
 ]
 
+# How far gate_time's w t may miss an odd multiple of pi.  The test tells an
+# odd multiple from an even one only where the float spacing of w t is at
+# most this, which the phase rule ensures while coupler.PHASE_LIMIT is no
+# larger.
 FREE_PHASE_TOL = 1e-9
 
 # Floor on every amplitude magnitude of the qubits random_product_states draws.
@@ -60,36 +64,22 @@ class NotNormalized(ValueError):
     pass
 
 
-def _free_phase(params: CouplerParams, t: float) -> float:
-    """w t, refused when its float spacing exceeds 1e-9, too coarse for its phase."""
-    wt = params.w * t
-    if not math.ulp(wt) <= FREE_PHASE_TOL:
-        raise FreePhaseMismatch(
-            f"w*t = {wt:.12g} has float spacing {math.ulp(wt):.3e}, too coarse to "
-            f"resolve an odd multiple of pi (limit {FREE_PHASE_TOL:.1e})"
-        )
-    return wt
-
-
 def gate_time(params: CouplerParams, k: int = 1) -> float:
     """Gate time of winding k, t = 2 pi k / ||g||, for any couplings.
 
     t satisfies ||g|| t = 2 pi k (the interaction winds back to the identity)
     and w t = (2m + 1) pi for some integer m (odd free phase per excitation).
-    t is positive for any signs of the couplings.  Raises ValueError when t
-    overflows (||g|| is subnormal) and FreePhaseMismatch when w t misses
-    every odd multiple of pi by more than 1e-9, or when the float spacing at
-    w t exceeds 1e-9 (from |w t| = 2^23 on, and at an infinite w t), where
-    that distance cannot be resolved.
+    t is positive for any signs of the couplings.  Raises UnresolvedPhase
+    when t fails the phase rule on the blocks K <= N+1 that truth_table
+    evaluates (t*lambda_max = t (N+1) (|w| + ||g||) from 2^23 on, and an
+    infinite t, where ||g|| is subnormal), and FreePhaseMismatch when w t
+    misses every odd multiple of pi by more than 1e-9.
     """
     if k < 1:
         raise ValueError(f"winding number k must be positive, got {k}")
     t = 2.0 * math.pi * k / params.coupling_norm
-    if not math.isfinite(t):
-        raise ValueError(
-            f"gate time 2 pi k / ||g|| is not finite (||g|| = {params.coupling_norm})"
-        )
-    wt = _free_phase(params, t)
+    params.check_phases(t, params.n_outer + 1)
+    wt = params.w * t
     m = round((wt / math.pi - 1.0) / 2.0)
     if abs(wt - (2 * m + 1) * math.pi) > FREE_PHASE_TOL:
         raise FreePhaseMismatch(
@@ -125,10 +115,10 @@ def truth_table(
     The 2^(N+1) amplitudes come in binary order of x, mode 0 most significant.
     leakage is the worst case over inputs of the norm of the input's column
     without its diagonal entry: the amplitude that left the input, whether to
-    another computational state or out of the computational subspace.  t is
-    refused as gate_time refuses it when the float spacing at w t exceeds 1e-9.
+    another computational state or out of the computational subspace.  The
+    propagator refuses t by the phase rule on the blocks K <= N+1, as
+    gate_time does.
     """
-    _free_phase(params, t)
     layout, _, totals, position = _computational_space(params)
     if method not in ("exact", "factorized"):
         raise ValueError(f"unknown propagator method {method!r}")
@@ -205,8 +195,8 @@ def scan_times(
         ||R - diag(1, 1, -1, -1)||^2 = 4 + |z^2 (2c^2 - 1) + 1|^2 >= 2^2.
     H is built once and diagonalized once per block; every grid point is
     then evaluated from that spectrum, a chunk of points at a time.  The
-    range is refused as gate_time refuses a time whose w t has float spacing
-    above 1e-9; |w t| is largest at t_min or t_max.
+    range is refused by the phase rule on the blocks K <= N+1 at its
+    largest |t|, t_min or t_max, where every phase t lambda is largest.
     """
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
@@ -216,8 +206,7 @@ def scan_times(
         )
     if not t_min < t_max:
         raise ValueError(f"need t_min < t_max, got [{t_min}, {t_max}]")
-    _free_phase(params, t_min)
-    _free_phase(params, t_max)
+    params.check_phases(max(abs(t_min), abs(t_max)), params.n_outer + 1)
     modes = params.n_outer + 1
     if modes == 2:
         candidates = [identity_gate(2), relative_phase_2(math.pi), swap_gate()]

@@ -26,7 +26,9 @@ conserve excitation, so each is passed as the list of its dense blocks
 K = 0..n_max, built exactly, and the identity is checked block by block.
 N comes from params; the layout supplies only n_max, how many blocks.  f
 diverges when sqrt(gamma) hits an odd multiple of pi, and evaluation is
-refused near those points rather than clamped.  Each factor has a closed
+refused near those points rather than clamped.  Both propagators refuse a t
+whose phases exp(-i t lambda) floating point cannot resolve, by one rule on
+t*lambda_max (CouplerParams.check_phases).  Each factor has a closed
 form: A+ and A- are nilpotent, so their exponentials are finite series, and
 the free phase exp(-i t w K) is one scalar per block.  The checks here
 measure; the caller decides pass or fail.
@@ -45,6 +47,7 @@ from .fock import ModeLayout
 
 __all__ = [
     "NearSingularity",
+    "UnresolvedPhase",
     "CouplerParams",
     "FactorizationReport",
     "singularity_margin",
@@ -59,24 +62,30 @@ __all__ = [
 # Refuse to evaluate tan-based coefficients closer than this to a pole.
 DELTA_SINGULARITY = 1e-6
 
+# Refuse a time whose largest phase t*lambda has a float spacing above this.
+# It bounds the spacing of sqrt(gamma) and of w t too, so the pole margin
+# and gate_time's odd-multiple test never measure coarser than their limits.
+PHASE_LIMIT = 1e-9
+
 # Below this angle the closed forms are 0/0-prone; use their power series.
 _SERIES_CROSSOVER = 1e-4
 
 
 class NearSingularity(ValueError):
-    """sqrt(gamma) is too close to an odd multiple of pi, or too coarse to tell."""
+    """sqrt(gamma) is too close to an odd multiple of pi."""
 
     def __init__(self, sqrt_gamma: float, margin: float, limit: float):
         self.sqrt_gamma = sqrt_gamma
         self.margin = margin
         self.limit = limit
-        spacing = math.ulp(sqrt_gamma)
-        detail = (
-            f"has float spacing {spacing:.3e}, too coarse to resolve an odd multiple of pi"
-            if spacing > limit
-            else f"is within {margin:.3e} of an odd multiple of pi"
+        super().__init__(
+            f"sqrt(gamma)={sqrt_gamma:.12g} is within {margin:.3e} of an odd multiple "
+            f"of pi (limit {limit:.1e})"
         )
-        super().__init__(f"sqrt(gamma)={sqrt_gamma:.12g} {detail} (limit {limit:.1e})")
+
+
+class UnresolvedPhase(ValueError):
+    """The phases exp(-i t lambda) at t are too coarse in floating point to resolve."""
 
 
 @dataclass(frozen=True)
@@ -117,6 +126,24 @@ class CouplerParams:
     def sqrt_gamma(self, t: float) -> float:
         return abs(t) * self.coupling_norm
 
+    def check_phases(self, t: float, k_max: int) -> None:
+        """Refuse t where the phases exp(-i t lambda) of the blocks K <= k_max are unresolved.
+
+        On block K the eigenvalues of H are w K plus sums of K eigenvalues
+        +-||g||, 0 of the coupling matrix, so t*lambda_max = |t| k_max
+        (|w| + ||g||) bounds every |t lambda|, sqrt(gamma) = |t| ||g|| and
+        |w t|.  Raises UnresolvedPhase when the float spacing there exceeds
+        PHASE_LIMIT: from t*lambda_max = 2^23 on, and when it is inf or NaN.
+        """
+        bound = abs(t) * k_max * (abs(self.w) + self.coupling_norm)
+        spacing = math.ulp(bound)
+        if not spacing <= PHASE_LIMIT:
+            raise UnresolvedPhase(
+                f"t*lambda_max = {bound:.12g} (t = {t:.12g}, K <= {k_max}) has float "
+                f"spacing {spacing:.3e}, too coarse to resolve the phases "
+                f"exp(-i t lambda) (limit {PHASE_LIMIT:.1e})"
+            )
+
 
 def singularity_margin(sqrt_gamma: float) -> float:
     """Distance from sqrt_gamma >= 0 to the nearest odd multiple of pi."""
@@ -139,6 +166,7 @@ def build_hamiltonian(params: CouplerParams, layout: ModeLayout) -> list[np.ndar
 
 def exact_propagator(params: CouplerParams, layout: ModeLayout, t: float) -> list[np.ndarray]:
     """Blocks of exp(-i t H), the brute-force reference propagator."""
+    params.check_phases(t, layout.n_max)
     return [expm_hermitian(h, t) for h in build_hamiltonian(params, layout)]
 
 
@@ -149,13 +177,12 @@ def factor_coefficients(params: CouplerParams, t: float) -> tuple[float, float]:
     middle exp(eps . sum g_j a b_j^dag) one.
 
     Raises NearSingularity when sqrt(gamma) is within DELTA_SINGULARITY of an
-    odd multiple of pi, where the tan coefficient diverges, and when the float
-    spacing at sqrt(gamma) exceeds DELTA_SINGULARITY (from sqrt(gamma) = 2^33
-    on), where that distance cannot be resolved.
+    odd multiple of pi, where the tan coefficient diverges.  The propagators
+    call check_phases first, so sqrt(gamma) is resolved far finer than that.
     """
     sg = params.sqrt_gamma(t)
     margin = singularity_margin(sg)
-    if margin <= DELTA_SINGULARITY or math.ulp(sg) > DELTA_SINGULARITY:
+    if margin <= DELTA_SINGULARITY:
         raise NearSingularity(sg, margin, DELTA_SINGULARITY)
     if sg < _SERIES_CROSSOVER:
         f = 0.5 + sg**2 / 24.0 + sg**4 / 240.0
@@ -173,6 +200,7 @@ def factorized_propagator(
 
     On block K the free phase exp(-i t w K) is a scalar.
     """
+    params.check_phases(t, layout.n_max)
     f, h = factor_coefficients(params, t)
     c = _raising_modes(params)
     eps = -1j * t

@@ -29,11 +29,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitGate:
     """A complex 2^n x 2^n matrix on an n-qubit register with a human-readable label.
 
-    Family constructors produce exactly unitary matrices.
+    Family constructors produce exactly unitary matrices.  Gates compare and
+    hash by identity: a generated field-wise __eq__ would compare arrays.
     """
 
     matrix: np.ndarray

@@ -14,7 +14,7 @@ from couplersim.analysis import (
     schmidt,
     truth_table,
 )
-from couplersim.coupler import CouplerParams, exact_propagator
+from couplersim.coupler import CouplerParams, UnresolvedPhase, exact_propagator
 from couplersim.fock import block_occupations
 from couplersim.gates import (
     QubitGate,
@@ -92,16 +92,16 @@ class TestGateTime:
 
     def test_unresolvable_free_phase_is_refused(self):
         # w t = 2e16 pi has float spacing 8: (2m + 1) pi rounds to 2m pi, so
-        # an even multiple would pass as odd.
-        with pytest.raises(FreePhaseMismatch, match="float spacing"):
+        # an even multiple would pass as odd.  The phase rule refuses it first.
+        with pytest.raises(UnresolvedPhase, match="t\\*lambda_max"):
             gate_time(CouplerParams(w=1e16, couplings=(1.0,)))
-        # Below w t = 2^23 the spacing is at most 2^-30, under the 1e-9
-        # tolerance; from 2^23 on it is 2^-29 or more.  An infinite w t has
-        # infinite spacing.
-        below = gate_time(CouplerParams(w=1300000.5, couplings=(1.0,)))  # w t = 8.2e6
+        # At N = 1 and t = 2 pi the rule reads t*lambda_max = 4 pi (w + 1):
+        # 8388599 for w = 667542.5, 8388612 for w = 667543.5, and inf for
+        # w = 1e308.  Below 2^23 its spacing is at most 2^-30, under 1e-9.
+        below = gate_time(CouplerParams(w=667542.5, couplings=(1.0,)))
         assert below == pytest.approx(2.0 * math.pi, abs=1e-12)
-        for w in (1500000.5, 1e308):  # w t = 9.4e6, inf
-            with pytest.raises(FreePhaseMismatch, match="float spacing"):
+        for w in (667543.5, 1e308):
+            with pytest.raises(UnresolvedPhase, match="t\\*lambda_max"):
                 gate_time(CouplerParams(w=w, couplings=(1.0,)))
 
     def test_unequal_couplings(self):
@@ -123,7 +123,7 @@ class TestGateTime:
 
     def test_overflowing_time_is_refused(self):
         # ||g|| = 1e-320 is subnormal, so 2 pi / ||g|| is inf
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(UnresolvedPhase, match="t = inf"):
             gate_time(equal_params(1, 1e-320, 0.5))
 
 
@@ -151,13 +151,17 @@ class TestTruthTable:
 
     @pytest.mark.parametrize("method", ["exact", "factorized"])
     def test_unresolvable_explicit_time_is_refused(self, method):
-        # An explicit t meets gate_time's rule: at t = 1e17, w t = 5e16 has
-        # float spacing 8, so the phases e^{-i t lambda} carry no correct digit.
+        # An explicit t meets gate_time's rule: at t = 1e17, t*lambda_max =
+        # 2 t (w + ||g||) = 3e17 has float spacing 64, so the phases
+        # e^{-i t lambda} carry no correct digit.
         params = equal_params(1, 1.0, 0.5)
-        with pytest.raises(FreePhaseMismatch, match="w\\*t = 5e\\+16 has float spacing"):
+        with pytest.raises(UnresolvedPhase, match="t\\*lambda_max = 3e\\+17 "):
             truth_table(params, 1e17, method=method)
-        # Spacing 9.3e-10 at w t is under 1e-9, so this time is evaluated.
-        truth_table(params, 9999997.292456362, method=method)
+        # The gate times 2 pi k for k = 444999 and 445031 put t*lambda_max = 3 t
+        # at 8388034 and 8388637, either side of 2^23.
+        truth_table(params, 2796011.178509609, method=method)
+        with pytest.raises(UnresolvedPhase):
+            truth_table(params, 2796212.2404394383, method=method)
 
     def test_serialization(self):
         # cli labels the report rows by the binary code of each amplitude's
@@ -288,26 +292,30 @@ class TestScanTimes:
         "w, t_min, t_max",
         [
             (0.5, 1e17, 1.0000000000001e17),  # both ends
-            (1e6, 0.1, 13.0),  # t_max only: w*t = 1e5 and 1.3e7
+            (1e6, 0.1, 13.0),  # t_max only: t*lambda_max = 2.6e7 at 13
             (0.5, -1e17, 0.1),  # t_min only
         ],
     )
-    def test_unresolvable_free_phase_is_refused(self, w, t_min, t_max):
-        # The phases e^{-i t lambda} carry no digit where w*t has float
-        # spacing above 1e-9; a scan there would report a miss, not refuse.
+    def test_unresolvable_phase_is_refused(self, w, t_min, t_max):
+        # The phases e^{-i t lambda} carry no digit where t*lambda_max has
+        # float spacing above 1e-9; a scan there would report a miss, not refuse.
         params = equal_params(1, 1.0, w)
-        with pytest.raises(FreePhaseMismatch, match="float spacing"):
+        with pytest.raises(UnresolvedPhase, match="t\\*lambda_max") as err:
             scan_times(params, t_min=t_min, t_max=t_max, steps=20, tol=0.05)
+        assert "odd multiple" not in str(err.value)
 
-    def test_free_phase_limit_is_at_the_ends(self):
-        # the range is resolved up to |w*t| just below 2^23, where the spacing
-        # reaches 2^-30 < 1e-9, and refused from 2^23 on
-        params = equal_params(1, 1.0, 0.5)
-        limit = 2.0**24 * (1.0 - 2.0**-52)
-        assert math.ulp(0.5 * limit) <= analysis.FREE_PHASE_TOL
-        scan_times(params, t_min=limit - 1.0, t_max=limit, steps=2, tol=0.05)
-        with pytest.raises(FreePhaseMismatch):
-            scan_times(params, t_min=limit - 1.0, t_max=2.0**24, steps=2, tol=0.05)
+    def test_phase_limit_is_at_the_ends(self):
+        # At w = g = 1 and N + 1 = 2 blocks, t*lambda_max = 4 |t|: the range is
+        # resolved up to |t| just below 2^21, where the spacing reaches
+        # 2^-30 < 1e-9, and refused from 2^21 on, at either end.
+        params = equal_params(1, 1.0, 1.0)
+        below = 2.0**21 * (1.0 - 2.0**-53)
+        scan_times(params, t_min=below - 1.0, t_max=below, steps=2, tol=0.05)
+        scan_times(params, t_min=-below, t_max=1.0 - below, steps=2, tol=0.05)
+        with pytest.raises(UnresolvedPhase, match="K <= 2"):
+            scan_times(params, t_min=below, t_max=2.0**21, steps=2, tol=0.05)
+        with pytest.raises(UnresolvedPhase, match="K <= 2"):
+            scan_times(params, t_min=-(2.0**21), t_max=-below, steps=2, tol=0.05)
 
 
 def computational_restriction(params, t):

@@ -136,36 +136,39 @@ class TestTruthTable:
 
     @pytest.mark.parametrize("w", ["1e308", "1e16", "5000000.5"])
     def test_unresolvable_free_phase_is_config_error(self, capsys, w):
-        # w t is inf, 2e16 pi (an even multiple once (2m + 1) pi rounds) and
-        # 1e7 pi (spacing 3.7e-9): the float spacing at w t exceeds 1e-9.
+        # At the gate time t = 2 pi, t*lambda_max = 4 pi (w + 1) is inf, 1.3e17
+        # (where w t = 2e16 pi is an even multiple once (2m + 1) pi rounds) and
+        # 6.3e7: its float spacing exceeds 1e-9.
         code, out, err = run(capsys, "truth-table", "--w", w)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: t*lambda_max = ") and err.count("\n") == 1
         assert "float spacing" in err
 
     def test_resolvable_free_phase_passes(self, capsys):
-        # w t = 1e6 pi has float spacing 4.7e-10, under 1e-9.
+        # t*lambda_max = 4 pi (w + 1) = 6.3e6 has float spacing 9.3e-10, under 1e-9.
         code, out, err = run(capsys, "truth-table", "--w", "500000.5")
         assert code == 0, err
         assert json.loads(out)["max_error"] <= 1e-9
 
     @pytest.mark.parametrize("method", ["exact", "factorized"])
     def test_unresolvable_explicit_time_is_config_error(self, capsys, method):
-        # --time 1e17 puts w t = 5e16 where the float spacing is 8, the rule
-        # the default gate time meets; the message is the same for both methods.
+        # --time 1e17 puts t*lambda_max = 3e17 where the float spacing is 64,
+        # the rule the default gate time meets; the message is the same for
+        # both methods.
         code, out, err = run(capsys, "truth-table", "--method", method, "--time", "1e17")
         assert code == 2
         assert out == ""
         assert err == (
-            "error: w*t = 5e+16 has float spacing 8.000e+00, too coarse to resolve "
-            "an odd multiple of pi (limit 1.0e-09)\n"
+            "error: t*lambda_max = 3e+17 (t = 1e+17, K <= 2) has float spacing "
+            "6.400e+01, too coarse to resolve the phases exp(-i t lambda) (limit 1.0e-09)\n"
         )
 
     def test_resolvable_explicit_time_is_evaluated(self, capsys):
-        # w t = 1570799.47 has float spacing 2.3e-10, under 1e-9.
+        # The gate time 2 pi 444999 puts t*lambda_max = 3 t = 8388034 just
+        # under 2^23, where the float spacing is 9.3e-10, under 1e-9.
         code, out, err = run(
-            capsys, "truth-table", "--method", "factorized", "--time", "3141598.9367751004"
+            capsys, "truth-table", "--method", "factorized", "--time", "2796011.178509609"
         )
         assert code == 0, err
         assert json.loads(out)["max_error"] <= 1e-9
@@ -248,7 +251,7 @@ class TestTruthTable:
         code, out, err = run(capsys, "truth-table", "--g", "1e-320")
         assert code == 2
         assert out == ""
-        assert "not finite" in err
+        assert err.startswith("error: t*lambda_max = inf (t = inf, ")
 
 
 class TestGates:
@@ -402,19 +405,68 @@ class TestScan:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("--t-min", "1e17", "--t-max", "1.0000000000001e17", "--steps", "20"),
             ("--w", "1e9", "--t-min", "0.1", "--t-max", "13", "--steps", "50"),
+            ("--t-min", "-20", "--t-max", "1", "--w", "1e6", "--steps", "50"),
         ],
         ids=" ".join,
     )
-    def test_unresolvable_free_phase_is_config_error(self, capsys, argv):
-        # Where w*t has float spacing above 1e-9 the phases carry no digit;
-        # the range is refused, not reported as a miss with max_error 0.0.
+    def test_unresolvable_phase_is_config_error(self, capsys, argv):
+        # Where t*lambda_max has float spacing above 1e-9 the phases carry no
+        # digit; the range is refused, not reported as a miss with max_error 0.0.
         code, out, err = run(capsys, "scan", *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: w*t = ") and err.count("\n") == 1
+        assert err.startswith("error: t*lambda_max = ") and err.count("\n") == 1
         assert "float spacing" in err
+
+
+class TestUnresolvedPhase:
+    """One rule refuses every time whose phases exp(-i t lambda) float cannot resolve."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--w", "1e12"),
+            ("verify", "--time", "1e8"),
+            ("truth-table", "--g", "1e10", "--w", "1", "--time", "1e3"),
+            ("scan", "--t-min", "1e17", "--t-max", "1.0000000000001e17", "--steps", "20"),
+        ],
+        ids=" ".join,
+    )
+    def test_is_one_phase_error(self, capsys, argv):
+        # Before the rule, the first three read as failed checks (exit 1) and
+        # the scan range was refused for an odd multiple of pi it never sought.
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: t*lambda_max = ") and err.count("\n") == 1
+        assert "odd multiple" not in err
+
+    @pytest.mark.parametrize("n_max, admitted", [(7, True), (8, False)])
+    def test_verify_limit_counts_n_max(self, capsys, n_max, admitted):
+        # w = 0, g = 1, t = 2^20: t*lambda_max = n_max 2^20 reaches 2^23 at n_max = 8.
+        code, out, err = run(
+            capsys, "verify", "--w", "0", "--time", "1048576", "--nmax", str(n_max)
+        )
+        if admitted:
+            assert code in (0, 1) and err == ""
+            assert len(json.loads(out)["results"]["factorization"]["block_distances"]) == 8
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("error: t*lambda_max = 8388608 ")
+
+    @pytest.mark.parametrize("g, admitted", [(("1",), True), (("1", "0"), False)])
+    def test_truth_table_limit_counts_n_plus_1(self, capsys, g, admitted):
+        # ||g|| = 1 and the gate time 2 pi in both: t*lambda_max = 2 pi (N + 1)
+        # (w + 1) is 6.3e6 at N = 1 and 9.4e6 at N = 2, either side of 2^23.
+        code, out, err = run(
+            capsys, "truth-table", "--n-outer", str(len(g)), "--g", *g, "--w", "500000.5"
+        )
+        if admitted:
+            assert code == 0, err
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("error: t*lambda_max = 9424806.2351 ")
 
 
 class TestNonFiniteInputs:
@@ -451,31 +503,42 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("g", ["9e9", "1e160"])
     def test_huge_coupling_is_refused(self, capsys, g):
-        # The float spacing at sqrt(gamma) = g exceeds the pole limit, so the
-        # distance to a pole, and with it the factorization, is meaningless.
+        # The float spacing at t*lambda_max = 3 (w + g) exceeds 1e-9, so the
+        # phases, and with them the factorization, are meaningless.
         code, out, err = run(capsys, "verify", "--g", g)
         assert code == 2
         assert out == ""
-        assert "float spacing" in err
+        assert err.startswith("error: t*lambda_max = ") and "float spacing" in err
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             pytest.param(argv, message, id=" ".join(argv))
             for argv, message in [
-                (("verify", "--g", "1.7e308"), "out of floating-point range"),
-                (("verify", "--w", "1.7e308"), "out of floating-point range"),
+                # |w| + ||g|| overflows, so the phase rule refuses t*lambda_max = inf
+                (("verify", "--g", "1.7e308"), "t*lambda_max = inf"),
+                (("verify", "--w", "1.7e308"), "t*lambda_max = inf"),
                 (
                     ("truth-table", "--g", "1.7e308", "--method", "exact"),
-                    "out of floating-point range",
+                    "t*lambda_max = inf",
                 ),
                 (
                     ("truth-table", "--g", "1.7e308", "--method", "factorized"),
+                    "t*lambda_max = inf",
+                ),
+                (("scan", "--g", "1e308", "--w", "1", "--steps", "50"), "t*lambda_max = inf"),
+                (("scan", "--g", "1e308", "--steps", "50"), "t*lambda_max = inf"),
+                # t small enough for the phase rule, but the block elements overflow
+                (("verify", "--g", "1.7e308", "--time", "1e-308"), "out of floating-point range"),
+                (
+                    ("truth-table", "--g", "1.7e308", "--w", "1", "--time", "1e-308"),
                     "out of floating-point range",
                 ),
-                (("scan", "--g", "1e308", "--w", "1", "--steps", "50"), "out of floating-point range"),
-                # the default w = ||g||/2 = 5e307 makes w*t unresolvable first
-                (("scan", "--g", "1e308", "--steps", "50"), "w*t = 5e+306 has float spacing"),
+                (
+                    ("scan", "--g", "1e308", "--w", "1", "--t-min", "1e-310",
+                     "--t-max", "1e-309", "--steps", "50"),
+                    "out of floating-point range",
+                ),
             ]
         ],
     )
@@ -489,16 +552,20 @@ class TestNonFiniteInputs:
         assert message in err
 
     def test_huge_coupling_gives_a_finite_report(self, capsys):
-        # Below the spacing limit the distance to a pole is resolved; the
-        # product loses digits at these angles, which is a finite report of a
-        # failed check.  The su(2) relations are checked on g / ||g||.
-        for g in ("1e9", "8e9"):
+        # The largest couplings the phase rule admits at t = 1, w = 0.7 and
+        # n_max = 3 (t*lambda_max = 3 (0.7 + g) below 2^23) give a finite
+        # report.  The su(2) relations are checked on g / ||g||.
+        for g in ("1e6", "2.7e6"):
             code, out, err = run(capsys, "verify", "--g", g)
-            assert code == 1
+            assert code in (0, 1)
             report = json.loads(out)
             assert report["results"]["factorization"]["sqrt_gamma"] == float(g)
             assert report["results"]["algebra"]["residual"] <= 1e-12
             assert err == ""
+        code, out, err = run(capsys, "verify", "--g", "2.8e6")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: t*lambda_max = 8400002.1 ")
 
     @staticmethod
     def _nan_propagator(params, layout, t):
@@ -769,7 +836,7 @@ def test_module_entry_point_reports(capsys):
 
 
 def test_module_entry_point_overflow_is_one_error_line():
-    proc = run_module("verify", "--g", "1.7e308")
+    proc = run_module("verify", "--g", "1.7e308", "--time", "1e-308")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -10,6 +10,7 @@ from couplersim.coupler import (
     _raising_modes,
     _su2_generators,
     NearSingularity,
+    UnresolvedPhase,
     algebra_check,
     build_hamiltonian,
     exact_propagator,
@@ -128,6 +129,29 @@ class TestExactPropagator:
             assert is_unitary(u, 1e-10)
 
 
+class TestPhaseRule:
+    def test_limit_is_at_2_to_the_23(self):
+        # t*lambda_max = |t| k_max (|w| + ||g||) = 4 |t| at w = g = 1, k_max = 2:
+        # its float spacing is 2^-30 < 1e-9 just below 2^23 and 2^-29 from it on.
+        params = CouplerParams(1.0, (1.0,))
+        below = 2.0**21 * (1.0 - 2.0**-53)
+        for t in (below, -below, 0.0):
+            params.check_phases(t, 2)
+        for t in (2.0**21, -(2.0**21), math.inf, math.nan):
+            with pytest.raises(UnresolvedPhase, match="t\\*lambda_max") as err:
+                params.check_phases(t, 2)
+            assert isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("propagator", [exact_propagator, factorized_propagator])
+    def test_propagators_check_the_blocks_of_their_layout(self, propagator):
+        # At w = 0, g = 1 and t = 2^20, t*lambda_max = n_max 2^20 reaches 2^23
+        # at n_max = 8.
+        params = CouplerParams(0.0, (1.0,))
+        assert len(propagator(params, params.layout(7), 2.0**20)) == 8
+        with pytest.raises(UnresolvedPhase, match="K <= 8"):
+            propagator(params, params.layout(8), 2.0**20)
+
+
 class TestFactorCoefficients:
     def test_quarter_period(self):
         # sqrt(gamma) = pi/2 makes both coefficients 2/pi
@@ -165,15 +189,18 @@ class TestFactorCoefficients:
         assert err.value.margin <= 1e-6
 
     def test_unresolvable_distance_to_the_pole(self):
-        # From sqrt(gamma) = 2^33 on the float spacing exceeds the 1e-6 limit,
-        # so no margin from a pole can be told apart from zero.
-        params, _ = params_and_layout(1, 1.0, 0.0, 1)
-        assert all(map(math.isfinite, factor_coefficients(params, 8e9)))
-        for sqrt_gamma in (2.0**33, 9e9, 1e160):
-            with pytest.raises(NearSingularity, match="float spacing") as err:
-                factor_coefficients(params, sqrt_gamma)
-            assert err.value.sqrt_gamma == sqrt_gamma
-            assert "within" not in str(err.value)
+        # At w = 0, g = 1 and n_max = 1, t*lambda_max = t = sqrt(gamma).  The
+        # phase rule refuses it from 2^23 on, long before the float spacing
+        # of sqrt(gamma) could reach the 1e-6 pole margin (from 2^33 on), so
+        # the propagator never measures a margin it cannot resolve.
+        params, layout = params_and_layout(1, 1.0, 0.0, 1)
+        below = 2.0**23 * (1.0 - 2.0**-53)
+        assert math.ulp(below) <= 1e-9
+        assert all(np.isfinite(u).all() for u in factorized_propagator(params, layout, below))
+        for sqrt_gamma in (2.0**23, 2.0**33, 9e9, 1e160):
+            with pytest.raises(UnresolvedPhase, match="t\\*lambda_max") as err:
+                factorized_propagator(params, layout, sqrt_gamma)
+            assert "odd multiple" not in str(err.value)
 
     def test_singularity_margin_values(self):
         assert singularity_margin(math.pi) == pytest.approx(0.0, abs=1e-15)

@@ -218,3 +218,13 @@ def test_json_matrix_round_trip():
     packed = gate.to_json_matrix()
     unpacked = np.array([[complex(re, im) for re, im in row] for row in packed])
     assert_allclose(unpacked, gate.matrix)
+
+
+def test_gates_compare_and_hash_by_identity():
+    # A field-wise __eq__ would compare the matrices and raise on the array's
+    # truth value; an ndarray field would make a generated __hash__ raise.
+    gate = control_c_phase()
+    assert gate == gate
+    assert control_c_phase() != control_c_phase()
+    assert hash(gate) == hash(gate)
+    assert len({gate, control_c_phase()}) == 2
