@@ -6,12 +6,14 @@ the diagonal amplitudes of the computational inputs, and measures
 entanglement by Schmidt coefficients; no verdict is made here.  truth_table
 and scan_times take the coupler alone and no layout: they build the
 excitation blocks K <= N+1 that hold the occupation-0/1 inputs from N, so
-they have no truncation to choose.  The gate times have a closed form for
-any couplings: the one-mode coupling matrix has eigenvalues +-||g|| and 0,
-so the interaction is the identity at t = 2 pi k / ||g||, the float
-gate_time returns.  Qubit states travel as rows: random product states are
-drawn as a (count, 2^n) stack and schmidt returns the singular values of a
-whole stack from one SVD.
+they have no truncation to choose.  scan_times evaluates U(t) on the inputs
+one block K at a time, scores only the grid points whose column norms allow
+a hit, and sizes its chunks of points by a budget of elements.  The gate
+times have a closed form for any couplings: the one-mode coupling matrix
+has eigenvalues +-||g|| and 0, so the interaction is the identity at
+t = 2 pi k / ||g||, the float gate_time returns.  Qubit states travel as
+rows: random product states are drawn as a (count, 2^n) stack and schmidt
+returns the singular values of a whole stack from one SVD.
 """
 
 from __future__ import annotations
@@ -51,9 +53,14 @@ FREE_PHASE_TOL = 1e-9
 # Floor on every amplitude magnitude of the qubits random_product_states draws.
 MIN_MAGNITUDE = 0.1
 
-# Grid points per batched restriction in scan_times; bounds the working set to
-# a few (chunk, 2^(N+1), dim) complex arrays, dim that of the blocks K <= N+1.
-_SCAN_CHUNK = 64
+# Complex elements (each point's phases and blocks R_K) per chunk of
+# scan_times' grid, and the rounding allowed between a column norm and the
+# Gram diagonal it bounds when scan_times drops points that cannot be hits.
+_SCAN_BUDGET = 2**16
+_NORM_MARGIN = 1e-12
+
+# lambda_K, P_K and input codes of one block; see _computational_spectrum.
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class FreePhaseMismatch(ValueError):
@@ -90,10 +97,10 @@ def gate_time(params: CouplerParams, k: int = 1) -> float:
 
 def _computational_space(
     params: CouplerParams,
-) -> tuple[ModeLayout, np.ndarray, np.ndarray, np.ndarray]:
-    """The blocks K <= M, the occupation-0/1 states, their K and places.
+) -> tuple[ModeLayout, np.ndarray, np.ndarray]:
+    """The blocks K <= M and the K and place of each occupation-0/1 state.
 
-    The (2^M, M) states come in binary order, mode 0 most significant; each
+    The 2^M states come in binary order, mode 0 most significant; each
     state's position is inside its block K, K its number of ones.
     """
     modes = params.n_outer + 1
@@ -104,7 +111,7 @@ def _computational_space(
         table = block_occupations(modes, k)
         binary = np.flatnonzero(table.max(axis=1) <= 1)
         position[table[binary] @ (1 << shifts)] = binary
-    return params.layout(modes), bits, bits.sum(axis=1), position
+    return params.layout(modes), bits.sum(axis=1), position
 
 
 def truth_table(
@@ -119,7 +126,7 @@ def truth_table(
     propagator refuses t by the phase rule on the blocks K <= N+1, as
     gate_time does.
     """
-    layout, _, totals, position = _computational_space(params)
+    layout, totals, position = _computational_space(params)
     if method not in ("exact", "factorized"):
         raise ValueError(f"unknown propagator method {method!r}")
     propagator = exact_propagator if method == "exact" else factorized_propagator
@@ -135,39 +142,35 @@ def truth_table(
     return amplitudes, finite_max(leakages, "truth-table leakage")
 
 
-def _computational_spectrum(params: CouplerParams) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of H and the computational rows V_c of its eigenvectors.
+def _computational_spectrum(params: CouplerParams) -> list[_Block]:
+    """Per block K <= M: lambda_K, P_K and the binary codes x of the inputs with K ones.
 
-    Each block K <= M is diagonalized on its own, so V_c is zero between a
-    row and an eigenvector of different K.  For every t,
-    U(t)[comp, comp] = V_c diag(exp(-i t lambda)) V_c^dag, so one
-    decomposition serves any number of interaction times.
+    P_K is the (dim_K, c_K^2) table of the terms v v^dag, v the c_K = C(M, K)
+    computational rows of an eigenvector, so that one decomposition gives
+    U(t) on those inputs, R_K(t) = exp(-i t lambda_K) @ P_K, at any t.
     """
-    layout, bits, totals, position = _computational_space(params)
-    spectra = [eigh_hermitian(h) for h in build_hamiltonian(params, layout)]
-    evals = np.concatenate([lam for lam, _ in spectra])
-    v_comp = np.zeros((len(bits), len(evals)), dtype=complex)
-    start = 0
-    for k, (lam, vecs) in enumerate(spectra):
-        rows = totals == k
-        v_comp[rows, start : start + len(lam)] = vecs[position[rows]]
-        start += len(lam)
-    return evals, v_comp
+    layout, totals, position = _computational_space(params)
+    blocks = []
+    for k, h in enumerate(build_hamiltonian(params, layout)):
+        evals, vecs = eigh_hermitian(h)
+        codes = np.flatnonzero(totals == k)
+        rows = vecs[position[codes]]
+        terms = np.einsum("aj,bj->jab", rows, rows.conj()).reshape(len(evals), -1)
+        blocks.append((evals, terms, codes))
+    return blocks
 
 
-def _restrictions(
-    evals: np.ndarray, v_comp: np.ndarray, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Computational restrictions R(t) and their leakage ||R^dag R - I||_F.
+def _restrictions(blocks: list[_Block], times: np.ndarray) -> list[np.ndarray]:
+    """The blocks R_K(t) of the computational restriction, (len(times), c_K, c_K) each."""
+    return [
+        (np.exp(-1j * np.multiply.outer(times, lam)) @ terms).reshape(-1, len(x), len(x))
+        for lam, terms, x in blocks
+    ]
 
-    Returns arrays of shape (len(times), c, c) and (len(times),), where
-    c = 2^(N+1) is the number of computational states.
-    """
-    phases = np.exp(-1j * np.multiply.outer(times, evals))
-    restrictions = (v_comp * phases[:, None, :]) @ v_comp.conj().T
-    gram = np.conj(np.swapaxes(restrictions, 1, 2)) @ restrictions
-    leakage = np.linalg.norm(gram - np.eye(v_comp.shape[0]), axis=(1, 2))
-    return restrictions, leakage
+
+def _frobenius(parts) -> np.ndarray:
+    """Frobenius norm over the last two axes, the parts' squares summed."""
+    return np.sqrt(sum(np.sum(np.abs(part) ** 2, axis=(-2, -1)) for part in parts))
 
 
 class ScanHit(NamedTuple):
@@ -193,9 +196,13 @@ def scan_times(
         ||R - diag(1, 1, 1, -1)||^2 = 2|zc - 1|^2 + 2s^2 + |z^2 (2c^2 - 1) + 1|^2
     is least, 4 - 3 * 2^(-2/3) = 1.4526247^2, at c = 2^(-2/3) and z = 1, and
         ||R - diag(1, 1, -1, -1)||^2 = 4 + |z^2 (2c^2 - 1) + 1|^2 >= 2^2.
-    H is built once and diagonalized once per block; every grid point is
-    then evaluated from that spectrum, a chunk of points at a time.  The
-    range is refused by the phase rule on the blocks K <= N+1 at its
+    H is built and each block K <= N+1 diagonalized once.  R and every
+    candidate C conserve K, so a grid point is evaluated a block at a time,
+    R_K(t) = exp(-i t lambda_K) @ P_K, and leakage^2 and distance^2 are sums
+    over K.  A point is scored only when every column norm ||R e_x||^2,
+    within leakage of 1, is within tol + 1e-12 of 1.  Chunks of points hold
+    at most 2^16 complex elements, 5461 points at N = 1 and 1638 at N = 2.
+    The range is refused by the phase rule on the blocks K <= N+1 at its
     largest |t|, t_min or t_max, where every phase t lambda is largest.
     """
     if steps < 2:
@@ -214,15 +221,22 @@ def scan_times(
         candidates = [identity_gate(modes), relative_phase_n(modes)]
     labels = [c.label for c in candidates]
     family = np.stack([c.matrix for c in candidates])
-    evals, v_comp = _computational_spectrum(params)
+    blocks = _computational_spectrum(params)
+    families = [family[:, codes[:, None], codes] for _, _, codes in blocks]
+    chunk = max(1, _SCAN_BUDGET // sum(len(lam) + len(x) ** 2 for lam, _, x in blocks))
     grid = np.linspace(t_min, t_max, steps)
     hits = []
-    for start in range(0, steps, _SCAN_CHUNK):
-        times = grid[start : start + _SCAN_CHUNK]
-        restrictions, leakage = _restrictions(evals, v_comp, times)
-        distances = np.linalg.norm(
-            restrictions[:, None] - family[None], axis=(2, 3)
-        )
+    for start in range(0, steps, chunk):
+        times = grid[start : start + chunk]
+        rs = _restrictions(blocks, times)
+        # |(R^dag R)_xx - 1| <= leakage, so a larger deficit cannot be a hit.
+        norms = [np.sum(np.abs(r) ** 2, axis=1) for r in rs]
+        deficit = np.max([np.abs(n - 1.0).max(axis=1) for n in norms], axis=0)
+        kept = deficit <= tol + _NORM_MARGIN
+        times, rs = times[kept], [r[kept] for r in rs]
+        grams = (r.conj().swapaxes(1, 2) @ r for r in rs)
+        leakage = _frobenius(g - np.eye(g.shape[1]) for g in grams)
+        distances = _frobenius(r[:, None] - f for r, f in zip(rs, families))
         close = (leakage <= tol) & (distances.min(axis=1) <= tol)
         for i in np.flatnonzero(close):
             best_dist, best_label = min(zip(distances[i].tolist(), labels))

@@ -38,11 +38,20 @@ def equal_params(n_outer, g, w):
     return CouplerParams(w, (g,) * n_outer)
 
 
+def restrictions(params, times):
+    """The scan's blocks R_K(t), placed in the full (len(times), 2^(N+1), 2^(N+1)) R(t)."""
+    blocks = analysis._computational_spectrum(params)
+    modes = params.n_outer + 1
+    r = np.zeros((len(times), 2**modes, 2**modes), dtype=complex)
+    for r_k, (_, _, codes) in zip(analysis._restrictions(blocks, times), blocks):
+        r[:, codes[:, None], codes] = r_k
+    return r
+
+
 def restriction(params, t):
-    """The batched scan's restriction R(t) at one time, and its leakage ||R^dag R - I||_F."""
-    evals, v_comp = analysis._computational_spectrum(params)
-    restrictions, leakage = analysis._restrictions(evals, v_comp, np.array([t]))
-    return restrictions[0], float(leakage[0])
+    """The scan's restriction R(t) at one time, and its leakage ||R^dag R - I||_F."""
+    r = restrictions(params, np.array([t]))[0]
+    return r, float(np.linalg.norm(r.conj().T @ r - np.eye(len(r))))
 
 
 def realizable_gates(modes):
@@ -180,7 +189,7 @@ class TestTruthTable:
             assert amp == blocks[k][idx, idx]
 
 
-class TestExtractGate:
+class TestRestriction:
     """The restriction R(t) that scan_times compares with its candidates."""
 
     def test_two_qubit_gate(self):
@@ -211,6 +220,20 @@ class TestExtractGate:
             assert np.linalg.norm(gate - candidate.matrix) > 0.1
 
 
+@pytest.mark.parametrize("modes", [2, 3, 4])
+def test_candidates_conserve_the_number_of_ones(modes):
+    # scan_times sums each candidate's distance from R over the blocks K, so
+    # every candidate must map each input only to inputs with as many ones.
+    if modes == 2:
+        gates = [identity_gate(2), relative_phase_2(math.pi), swap_gate()]
+    else:
+        gates = [identity_gate(modes), relative_phase_n(modes)]
+    ones = np.array([bin(x).count("1") for x in range(2**modes)])
+    for gate in gates:
+        outputs, inputs = np.nonzero(gate.matrix)
+        assert np.array_equal(ones[outputs], ones[inputs]), gate.label
+
+
 # sqrt(4 - 3 * 2^(-2/3)): the closest R(t) comes to control-C at N = 1.
 CONTROL_C_APPROACH = math.sqrt(4.0 - 3.0 * 2.0 ** (-2.0 / 3.0))
 
@@ -236,7 +259,7 @@ class TestClosestApproach:
         for _ in range(20):
             g = float(rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0]))
             params = CouplerParams(w=float(rng.uniform(-3.0, 3.0)), couplings=(g,))
-            r, _ = analysis._restrictions(*analysis._computational_spectrum(params), times)
+            r = restrictions(params, times)
             assert np.max(np.abs(r - self.closed_form(params, times))) <= 1e-12
             to_cz = np.linalg.norm(r - control_c_phase().matrix, axis=(1, 2))
             to_shift = np.linalg.norm(r - control_phase_shift().matrix, axis=(1, 2))
@@ -325,14 +348,14 @@ def computational_restriction(params, t):
     """
     modes = params.n_outer + 1
     blocks = exact_propagator(params, params.layout(modes), t)
+    states = [block_states(modes, k) for k in range(modes + 1)]
     codes = list(np.ndindex(*(2,) * modes))
     r = np.zeros((len(codes), len(codes)), dtype=complex)
     for a, out in enumerate(codes):
         for b, inp in enumerate(codes):
             k = sum(inp)
             if sum(out) == k:
-                states = block_states(modes, k)
-                r[a, b] = blocks[k][states.index(out), states.index(inp)]
+                r[a, b] = blocks[k][states[k].index(out), states[k].index(inp)]
     return r
 
 
@@ -381,17 +404,97 @@ class TestScanOracle:
         for hit, (_, _, dist) in zip(hits, expected):
             assert abs(hit.distance - dist) <= 1e-12
 
-    @pytest.mark.parametrize("chunks, extra", [(0, 2), (0, 7), (1, 0), (1, 1), (2, 2)])
-    def test_grid_sizes_around_the_chunk(self, chunks, extra):
-        steps = chunks * analysis._SCAN_CHUNK + extra
-        params = equal_params(1, 1.0, 0.5)
-        expected = reference_scan(params, 6.0, 6.6, steps, 0.2)
-        hits = scan_times(params, t_min=6.0, t_max=6.6, steps=steps, tol=0.2)
+    @pytest.mark.parametrize("chunks, extra", [(0, 2), (0, 7), (1, 0), (3, 0), (3, 1), (4, 5)])
+    @pytest.mark.parametrize(
+        "params, t_min, t_max",
+        [
+            (equal_params(1, 1.0, 0.5), 6.0, 6.6),
+            (equal_params(2, 1.0, math.sqrt(2) / 2.0), 4.2, 4.7),
+        ],
+        ids=["n1", "n2"],
+    )
+    def test_grid_sizes_around_the_chunk(
+        self, monkeypatch, params, t_min, t_max, chunks, extra
+    ):
+        # A budget of 8 points per chunk, from the elements each point takes.
+        blocks = analysis._computational_spectrum(params)
+        per_point = sum(len(lam) + len(codes) ** 2 for lam, _, codes in blocks)
+        monkeypatch.setattr(analysis, "_SCAN_BUDGET", 8 * per_point)
+        calls = []
+        original = analysis._restrictions
+
+        def counting_restrictions(blocks, times):
+            calls.append(len(times))
+            return original(blocks, times)
+
+        monkeypatch.setattr(analysis, "_restrictions", counting_restrictions)
+        steps = chunks * 8 + extra
+        expected = reference_scan(params, t_min, t_max, steps, 0.2)
+        hits = scan_times(params, t_min=t_min, t_max=t_max, steps=steps, tol=0.2)
+        assert calls == [8] * chunks + ([extra] if extra else [])
+        assert [(h.t, h.label) for h in hits] == [(t, label) for t, label, _ in expected]
+        for hit, (_, _, dist) in zip(hits, expected):
+            assert abs(hit.distance - dist) <= 1e-12
+        if chunks >= 3:
+            assert expected, "oracle found no hits; the comparison would be vacuous"
+
+    @pytest.mark.parametrize(
+        "params, t_min, t_max, steps",
+        [
+            (CouplerParams(w=0.25, couplings=(1.0,)), 0.1, 13.0, 400),
+            (equal_params(2, 1.0, math.sqrt(2) / 2.0), 3.0, 6.0, 300),
+        ],
+        ids=["n1", "n2"],
+    )
+    def test_prefilter_keeps_a_point_at_the_tolerance(self, params, t_min, t_max, steps):
+        # The point whose column-norm deficit is largest against
+        # max(leakage, distance), all from the per-point oracle, is still
+        # reported when tol is that maximum: the deficit bounds the leakage
+        # from below and never drops a point the hit rule would keep.  The
+        # 1e-14 covers the scan and the oracle rounding differently.
+        candidates = realizable_gates(params.n_outer + 1)
+        best = None
+        for t in np.linspace(t_min, t_max, steps):
+            r = computational_restriction(params, float(t))
+            gram = r.conj().T @ r - np.eye(len(r))
+            bound = max(
+                np.linalg.norm(gram), min(np.linalg.norm(r - c.matrix) for c in candidates)
+            )
+            ratio = np.max(np.abs(np.diag(gram))) / bound
+            if bound <= 0.3 and (best is None or ratio > best[0]):
+                best = (ratio, float(t), bound)
+        ratio, t, bound = best
+        assert ratio > 0.1
+        tol = bound + 1e-14
+        expected = reference_scan(params, t_min, t_max, steps, tol)
+        hits = scan_times(params, t_min=t_min, t_max=t_max, steps=steps, tol=tol)
+        assert t in [h.t for h in hits]
         assert [(h.t, h.label) for h in hits] == [(t, label) for t, label, _ in expected]
         for hit, (_, _, dist) in zip(hits, expected):
             assert abs(hit.distance - dist) <= 1e-12
 
-    def test_extract_gate_matches_propagator_slice(self):
+    def test_random_couplers_match_per_point_reference(self):
+        # N = 1, 2 and 3 with random signs and sizes, the N = 2 one with a
+        # zero coupling; w puts the first gate time T = 2 pi / ||g|| on the
+        # identity or the parity gate, and the grid spans T +- 5%.
+        rng = np.random.default_rng(22)
+        for n_outer, steps in ((1, 300), (2, 200), (3, 80)):
+            g = rng.uniform(0.3, 1.5, n_outer) * rng.choice([-1.0, 1.0], n_outer)
+            if n_outer == 2:
+                g[1] = 0.0
+            norm = float(np.linalg.norm(g))
+            w = norm * int(rng.integers(0, 4)) / 2.0
+            params = CouplerParams(w=w, couplings=tuple(g.tolist()))
+            t_gate = 2.0 * math.pi / norm
+            t_min, t_max = 0.95 * t_gate, 1.05 * t_gate
+            expected = reference_scan(params, t_min, t_max, steps, 0.1)
+            hits = scan_times(params, t_min=t_min, t_max=t_max, steps=steps, tol=0.1)
+            assert expected, f"no oracle hits for {params}"
+            assert [(h.t, h.label) for h in hits] == [(t, label) for t, label, _ in expected]
+            for hit, (_, _, dist) in zip(hits, expected):
+                assert abs(hit.distance - dist) <= 1e-12
+
+    def test_restriction_matches_propagator_slice(self):
         params = equal_params(2, 0.8, 0.9)
         for t in (0.0, 0.37, 2.9):
             gate, leakage = restriction(params, t)
