@@ -23,26 +23,30 @@ sum_kl m[k, l] c_k^dag c_l (fock.one_body, with c_0 = a and c_j = b_j) of an
 0 equal to (0, g_1, ..., g_N) for A+, and (sum_j g_j^2 e_00 - g g^T) / 2 for
 the su(2) generator J3.  The coupler is (w, couplings) alone.  Its operators
 conserve excitation, so each is passed as the list of its dense blocks
-K = 0..n_max, built exactly, and the identity is checked block by block.
+K = 0..n_max, and the identity is checked block by block.
 N comes from params; the layout supplies only n_max, how many blocks.  f
 diverges when sqrt(gamma) hits an odd multiple of pi, and evaluation is
 refused near those points rather than clamped.  Both propagators refuse a t
 whose phases exp(-i t lambda) floating point cannot resolve, by one rule on
-t*lambda_max (CouplerParams.check_phases).  Each factor has a closed
-form: A+ and A- are nilpotent, so their exponentials are finite series, and
-the free phase exp(-i t w K) is one scalar per block.  The checks here
+t*lambda_max (CouplerParams.check_phases).  Each factor is the Fock image
+(fock.image) of a mode matrix: the mode matrix c of A+ has c^2 = 0, so
+exp(eps f A+) is the image of I + eps f c, and the free phase is the image of
+exp(-i t w) I.  The image is a homomorphism, so the disentangled propagator
+is the image of the product of three (N+1) x (N+1) matrices; only the
+oracle, exact_propagator, works on the Fock blocks.  The checks here
 measure; the caller decides pass or fail.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fock
-from .engine import expm_hermitian, expm_nilpotent, finite_max
+from .engine import expm_hermitian, finite_max
 from .fock import ModeLayout
 
 __all__ = [
@@ -66,9 +70,6 @@ DELTA_SINGULARITY = 1e-6
 # It bounds the spacing of sqrt(gamma) and of w t too, so the pole margin
 # and gate_time's odd-multiple test never measure coarser than their limits.
 PHASE_LIMIT = 1e-9
-
-# Below this angle the closed forms are 0/0-prone; use their power series.
-_SERIES_CROSSOVER = 1e-4
 
 
 class NearSingularity(ValueError):
@@ -184,13 +185,9 @@ def factor_coefficients(params: CouplerParams, t: float) -> tuple[float, float]:
     margin = singularity_margin(sg)
     if margin <= DELTA_SINGULARITY:
         raise NearSingularity(sg, margin, DELTA_SINGULARITY)
-    if sg < _SERIES_CROSSOVER:
-        f = 0.5 + sg**2 / 24.0 + sg**4 / 240.0
-        h = 1.0 - sg**2 / 6.0 + sg**4 / 120.0
-    else:
-        f = math.tan(sg / 2.0) / sg
-        h = math.sin(sg) / sg
-    return f, h
+    if sg < sys.float_info.min:  # 0, or subnormal, where halving loses bits
+        return 0.5, 1.0
+    return math.tan(sg / 2.0) / sg, math.sin(sg) / sg
 
 
 def factorized_propagator(
@@ -198,19 +195,16 @@ def factorized_propagator(
 ) -> list[np.ndarray]:
     """Blocks of the disentangled propagator: free phase times the three factors.
 
-    On block K the free phase exp(-i t w K) is a scalar.
+    The factors are formed on the mode matrices, exp(-i t w) (I - i t f c)
+    (I - i t h c^T) (I - i t f c) with c the mode matrix of A+, and the
+    product is mapped to the blocks by one Fock image.
     """
     params.check_phases(t, layout.n_max)
     f, h = factor_coefficients(params, t)
     c = _raising_modes(params)
-    eps = -1j * t
-    blocks = []
-    for k in range(layout.n_max + 1):
-        raising = fock.one_body(c, k)
-        outer = expm_nilpotent(eps * f * raising)
-        middle = expm_nilpotent(eps * h * raising.conj().T)
-        blocks.append(np.exp(-1j * t * (params.w * k)) * (outer @ middle @ outer))
-    return blocks
+    outer = np.eye(len(c)) - 1j * (t * f) * c
+    middle = np.eye(len(c)) - 1j * (t * h) * c.T
+    return fock.image(np.exp(-1j * t * params.w) * (outer @ middle @ outer), layout.n_max)
 
 
 @dataclass(frozen=True)

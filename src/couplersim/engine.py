@@ -1,14 +1,13 @@
-"""Dense matrix exponentials and the checks that package-built inputs can fail.
+"""Dense Hermitian eigendecomposition and the checks that package-built inputs can fail.
 
-This is the internal oracle layer: a Hermitian eigendecomposition, the
-Hermitian propagator built on it, and the exponential of a nilpotent matrix
-as its terminating power series.  Its inputs are built square (fock.one_body
+This is the internal oracle layer: a Hermitian eigendecomposition and the
+Hermitian propagator built on it.  Its inputs are built square (fock.one_body
 blocks, QubitGate matrices), and the blocks eigh takes, images of a Hermitian
-mode matrix, are exactly Hermitian; so only non-finite entries and a series
-that does not terminate are checked.  A LAPACK failure surfaces as numpy's
-LinAlgError, a ValueError, so the command line exits 2 on it as on the two
-refusals here.  finite_max is the reduction every reported worst case goes
-through, so a NaN or inf is refused rather than dropped or reported.
+mode matrix, are exactly Hermitian; so only non-finite entries are checked.
+A LAPACK failure surfaces as numpy's LinAlgError, a ValueError, so the
+command line exits 2 on it as on the refusal here.  finite_max is the
+reduction every reported worst case goes through, so a NaN or inf is refused
+rather than dropped or reported.
 """
 
 from __future__ import annotations
@@ -19,20 +18,14 @@ import numpy as np
 
 __all__ = [
     "NonFinite",
-    "NotNilpotent",
     "eigh_hermitian",
     "expm_hermitian",
-    "expm_nilpotent",
     "finite_max",
     "is_unitary",
 ]
 
 
 class NonFinite(ValueError):
-    pass
-
-
-class NotNilpotent(ValueError):
     pass
 
 
@@ -55,31 +48,6 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """
     evals, vecs = eigh_hermitian(h)
     return (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
-
-
-def expm_nilpotent(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a nilpotent matrix, sum_k A^k / k!.
-
-    The series is summed until a term is exactly zero.  When A is nilpotent
-    through its zero pattern (strictly triangular up to a permutation, as an
-    operator that moves quanta in one direction only is), products of exact
-    zeros stay 0.0, so its powers vanish exactly in floating point too and the
-    sum is a finite polynomial with no truncation error.  A nilpotent matrix
-    has A^dim = 0; one with no zero power up to A^(dim+1) is refused as
-    NotNilpotent.
-    """
-    if not np.all(np.isfinite(a)):
-        raise NonFinite("matrix contains non-finite entries")
-    n = a.shape[0]
-    result = term = np.eye(n, dtype=complex)
-    for k in range(1, n + 2):
-        term = term @ a / k
-        if not term.any():
-            return result
-        result = result + term
-    raise NotNilpotent(
-        f"A^{n + 1} is not zero; a nilpotent {n}x{n} matrix has A^{n} = 0"
-    )
 
 
 def finite_max(values, what: str) -> float:

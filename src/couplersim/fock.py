@@ -7,11 +7,13 @@ in K, so it is built one block at a time: one_body(m, k) is its block K, a
 dense square on the C(K + M - 1, M - 1) occupation tuples of total K, ordered
 lexicographically.  A one-body operator maps each block into itself, so a
 block, and every sum and product of blocks, is exact: no matrix element is
-dropped.  A layout holds the blocks K = 0..n_max; the coupler reads only its
-n_max.  Mode 0 is the central waveguide mode; the outer modes follow in order.
-As in engine, the inputs are package-built: the coupler's square mode
-matrices, at least two modes, and K from a loop over range; only a layout's
-n_max, which the command line sets, is checked.
+dropped.  The exponential of one_body(m) is the image Gamma(exp(m)) of an
+M x M matrix, and image(u, n_max) builds the blocks K = 0..n_max of Gamma(u),
+each from the one below.  A layout holds the blocks K = 0..n_max; the
+coupler reads only its n_max.  Mode 0 is the central waveguide mode; the
+outer modes follow in order.  As in engine, the inputs are package-built:
+the coupler's square mode matrices, at least two modes, and K from a loop
+over range; only a layout's n_max, which the command line sets, is checked.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["ModeLayout", "one_body", "block_occupations"]
+__all__ = ["ModeLayout", "one_body", "image", "block_occupations"]
 
 
 @dataclass(frozen=True)
@@ -42,36 +44,33 @@ class ModeLayout:
         return math.comb(self.n_max + self.mode_count, self.mode_count)
 
 
-def _compositions(total: int, parts: int):
-    """Tuples of ``parts`` non-negative integers summing to ``total``, ascending."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
 @lru_cache(maxsize=None)
-def _block(mode_count: int, k: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Occupation table of block K and its one-quantum moves (dst, src, i, j, element).
+def _block(mode_count: int, k: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Occupation table of block K, a_i^dag from block K - 1 into it, and its moves.
 
-    For i != j, a_i^dag a_j takes basis state src, occupations n, to dst with
-    element sqrt((n_i + 1) n_j).
+    up[q, i] is the index in block K of state q of block K - 1 with one more
+    quantum in mode i; the element of a_i^dag there is sqrt(q_i + 1).  Block
+    K is every such state, once, and np.unique sorts the rows
+    lexicographically.  The moves (dst, src, i, j, element) of a_i^dag a_j,
+    i != j, come from the same table: a_j takes src down to q and a_i^dag
+    takes q up to dst, with element sqrt((q_i + 1) (q_j + 1)), the root of
+    the integer product, so that a move and its reverse agree to the bit.
     """
-    rows = list(_compositions(k, mode_count))
-    index = {occ: s for s, occ in enumerate(rows)}
-    table = np.array(rows, dtype=np.int64)
-    i, j = np.nonzero(~np.eye(mode_count, dtype=bool))  # every mode pair i != j
-    src, pair = np.nonzero(table[:, j] > 0)
-    i, j = i[pair], j[pair]
-    unit = np.eye(mode_count, dtype=np.int64)
-    moved = table[src] + unit[i] - unit[j]
-    dst = np.array([index[tuple(occ)] for occ in moved.tolist()], dtype=np.intp)
-    moves = (dst, src, i, j, np.sqrt((table[src, i] + 1) * table[src, j]))
-    for a in (table, *moves):
+    if k == 0:
+        below = np.zeros((0, mode_count), dtype=np.int64)
+        table = np.zeros((1, mode_count), dtype=np.int64)
+        up = np.zeros((0, mode_count), dtype=np.intp)
+    else:
+        below = _block(mode_count, k - 1)[0]
+        raised = below[:, None, :] + np.eye(mode_count, dtype=np.int64)
+        table, up = np.unique(raised.reshape(-1, mode_count), axis=0, return_inverse=True)
+        up = up.reshape(len(below), mode_count)
+    pairs = ~np.eye(mode_count, dtype=bool)  # every mode pair i != j
+    q, i, j = np.nonzero(np.broadcast_to(pairs, (len(below), *pairs.shape)))
+    moves = (up[q, i], up[q, j], i, j, np.sqrt((below[q, i] + 1) * (below[q, j] + 1)))
+    for a in (table, up, *moves):
         a.setflags(write=False)
-    return table, moves
+    return table, up, moves
 
 
 def block_occupations(mode_count: int, k: int) -> np.ndarray:
@@ -88,8 +87,40 @@ def one_body(m, k: int) -> np.ndarray:
     entry, so every entry is one coefficient times one element.
     """
     m = np.asarray(m)
-    table, (dst, src, i, j, element) = _block(len(m), k)
+    table, _, (dst, src, i, j, element) = _block(len(m), k)
     out = np.zeros((len(table), len(table)), dtype=complex)
     out[np.diag_indices(len(table))] = table @ np.diag(m)
     out[dst, src] = m[i, j] * element
     return out
+
+
+def image(u, n_max: int) -> list[np.ndarray]:
+    """Blocks K = 0..n_max of Gamma(u), the Fock-space image of a mode matrix u.
+
+    u must be a square M x M matrix, any complex one; it is not checked.
+    Gamma(u) takes a_j^dag to sum_i u[i, j] a_i^dag and leaves the vacuum
+    fixed, so Gamma(u v) = Gamma(u) Gamma(v), and the exponential of
+    one_body(m, k) is block K of the image of exp(m).  Column T of block K is
+    built from block K - 1:
+    Gamma(u)|T> = sum_i u[i, j] a_i^dag Gamma(u)|T - e_j> / sqrt(t_j), with j
+    the first occupied mode of T.  The element sqrt(q_i + 1) of a_i^dag is
+    divided by sqrt(t_j) before anything multiplies it; for a permutation
+    matrix the two roots are equal, so it maps to the permutation of the
+    occupations exactly.
+    """
+    u = np.asarray(u, dtype=complex)
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for k in range(1, n_max + 1):
+        below = _block(len(u), k - 1)[0]
+        table, up, _ = _block(len(u), k)
+        root = np.sqrt(below + 1.0)
+        # (q, j) with modes < j empty in q: T = q + e_j has first occupied mode j
+        q, j = np.nonzero(np.cumsum(below, axis=1) == below)
+        lowered = blocks[-1][:, q]
+        raised = np.zeros((len(table), len(q)), dtype=complex)
+        for i in range(len(u)):
+            raised[up[:, i]] += u[i, j] * (root[:, i, None] / root[q, j]) * lowered
+        out = np.empty_like(raised)
+        out[:, up[q, j]] = raised
+        blocks.append(out)
+    return blocks

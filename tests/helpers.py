@@ -23,6 +23,23 @@ def block_states(mode_count: int, k: int) -> list[tuple[int, ...]]:
     ]
 
 
+def expm_series(a: np.ndarray) -> np.ndarray:
+    """exp(A) of a nilpotent A as its terminating series, sum_k A^k / k!.
+
+    The sum stops at the first term that is exactly zero.  When A is
+    nilpotent through its zero pattern (an operator that moves quanta in one
+    direction only), products of exact zeros stay 0.0, so the series has no
+    truncation error; A^dim = 0, so it ends within dim + 1 terms.
+    """
+    result = term = np.eye(len(a), dtype=complex)
+    for k in range(1, len(a) + 2):
+        term = term @ a / k
+        if not term.any():
+            return result
+        result = result + term
+    raise AssertionError(f"A^{len(a) + 1} is not zero; A is not nilpotent")
+
+
 def tensor_one_body(m, d: int) -> np.ndarray:
     """sum_ij m[i, j] a_i^dag a_j on the tensor product of d levels per mode.
 

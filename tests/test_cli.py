@@ -87,6 +87,19 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["config"]["couplings"] == [0.3, 0.9]
 
+    def test_twenty_five_excitations_pass(self, capsys):
+        # Block K = 25 of N = 1 at the default t = 1: the product of the three
+        # factors is formed on 2 x 2 mode matrices and mapped to the blocks,
+        # so its error does not grow with the block's condition.
+        code, out, err = run(capsys, "verify", "--nmax", "25")
+        assert code == 0
+        report = json.loads(out)
+        assert [k for k, _ in report["results"]["factorization"]["block_distances"]] == list(
+            range(26)
+        )
+        assert report["max_error"] <= 1e-11
+        assert err == ""
+
     def test_nmax_below_one_is_config_error(self, capsys):
         code, out, err = run(capsys, "verify", "--nmax", "0")
         assert code == 2
@@ -550,6 +563,26 @@ class TestNonFiniteInputs:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_factorized_truth_table_builds_no_overflowing_block(self, capsys):
+        # At g = 1.7e308 and t = 1e-308, sqrt(gamma) = 1.7: the factorized
+        # side multiplies 2 x 2 mode matrices with entries t f g and never
+        # forms the block entries g sqrt(K), which overflow.  So it reports a
+        # finite failed table, while the exact side, which builds H, and
+        # verify, which runs both, are refused.
+        flags = ("--g", "1.7e308", "--w", "1", "--time", "1e-308")
+        code, out, err = run(capsys, "truth-table", *flags, "--method", "factorized")
+        assert code == 1
+        assert err == ""
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert all(math.isfinite(row["fidelity"]) for row in report["results"]["rows"])
+        assert math.isfinite(report["results"]["leakage"])
+        for argv in (("truth-table", *flags), ("verify", *flags)):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "out of floating-point range" in err
 
     def test_huge_coupling_gives_a_finite_report(self, capsys):
         # The largest couplings the phase rule admits at t = 1, w = 0.7 and

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from couplersim.coupler import (
     singularity_margin,
     verify_factorization,
 )
-from couplersim.engine import expm_nilpotent, is_unitary
+from couplersim.engine import is_unitary
 
-from helpers import block_states, tensor_one_body, tensor_totals
+from helpers import block_states, expm_series, tensor_one_body, tensor_totals
 
 
 def params_and_layout(n_outer, g, w, n_max):
@@ -172,14 +173,22 @@ class TestFactorCoefficients:
         assert f == pytest.approx(0.5, abs=1e-12)
         assert h == pytest.approx(1.0, abs=1e-12)
 
-    def test_series_matches_closed_form_at_crossover(self):
-        # the series branch engages just below 1e-4; compare it against the
-        # closed forms evaluated at the same angle
+    @pytest.mark.parametrize("sqrt_gamma", [0.0, 5e-324, 1e-300, 1e-8, 1e-4])
+    def test_small_angles_match_the_limits_and_the_closed_form(self, sqrt_gamma):
+        # The closed forms need no series at small angles: they agree with
+        # f = 1/2 + x^2/24 and h = 1 - x^2/6 (next terms below 1e-18 here) to
+        # the last bit or two.  Below the smallest normal float, 0 and the
+        # subnormals, where halving x loses bits, the limits are returned.
         params, _ = params_and_layout(1, 1.0, 0.0, 1)
-        x = 0.99e-4
+        x = sqrt_gamma
+        assert params.sqrt_gamma(x) == x
         f, h = factor_coefficients(params, x)
-        assert f == pytest.approx(math.tan(x / 2.0) / x, abs=1e-14)
-        assert h == pytest.approx(math.sin(x) / x, abs=1e-14)
+        assert f == pytest.approx(0.5 + x * x / 24.0, rel=2.3e-16, abs=0)
+        assert h == pytest.approx(1.0 - x * x / 6.0, rel=2.3e-16, abs=0)
+        if x < sys.float_info.min:
+            assert (f, h) == (0.5, 1.0)
+        else:
+            assert (f, h) == (math.tan(x / 2.0) / x, math.sin(x) / x)
 
     @pytest.mark.parametrize("sqrt_gamma", [math.pi, 3.0 * math.pi])
     def test_near_singularity(self, sqrt_gamma):
@@ -239,8 +248,8 @@ class TestFactorizedPropagator:
         t = 0.8
         f, h = factor_coefficients(params, t)
         raising = tensor_one_body(_raising_modes(params), 3)
-        outer = expm_nilpotent(-1j * t * f * raising)
-        middle = expm_nilpotent(-1j * t * h * raising.T)
+        outer = expm_series(-1j * t * f * raising)
+        middle = expm_series(-1j * t * h * raising.T)
         totals = tensor_totals(3, 3)
         product = np.exp(-1j * t * params.w * totals)[:, None] * (outer @ middle @ outer)
         assert np.abs(product[totals[:, None] != totals[None, :]]).max() <= 1e-14
@@ -282,6 +291,21 @@ class TestVerifyFactorization:
         assert report.max_block_distance <= 1e-8
         assert [k for k, _ in report.block_distances] == [0, 1, 2, 3, 4]
         assert algebra_check(params, layout) <= 1e-12
+
+    def test_random_couplers_near_the_pole(self):
+        # The product of the mode matrices stays accurate up to the pole
+        # margin: sqrt(gamma) = pi +- delta down to 2e-6, just outside the
+        # 1e-6 refusal, where f ~ 2 / delta ~ 1e6.
+        rng = np.random.default_rng(23)
+        for _ in range(12):
+            n_outer, n_max = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            params = CouplerParams(w=rng.normal(), couplings=tuple(rng.normal(size=n_outer)))
+            layout = params.layout(n_max)
+            for delta in (1e-2, -1e-2, 1e-3, -1e-3, 1e-5, -1e-5, 2e-6, -2e-6):
+                t = (math.pi + delta) / params.coupling_norm
+                report = verify_factorization(params, layout, t)
+                assert report.singularity_margin == pytest.approx(abs(delta), rel=1e-6)
+                assert report.max_block_distance <= 1e-8
 
     def test_interaction_periodicity(self):
         # sqrt(N) g t in 2 pi Z restores the free evolution on every block
@@ -400,12 +424,12 @@ def test_factorized_interaction_factor_is_block_diagonal():
     # its block of total K is the series of the block A+_K.
     params, layout = params_and_layout(2, 0.7, 1.0, 2)
     coefficient = -1j * 0.9 * 0.5
-    factor = expm_nilpotent(coefficient * tensor_one_body(_raising_modes(params), 3))
+    factor = expm_series(coefficient * tensor_one_body(_raising_modes(params), 3))
     totals = tensor_totals(3, 3)
     assert np.abs(factor[totals[:, None] != totals[None, :]]).max() == 0.0
     for k in range(layout.n_max + 1):
         idx = np.flatnonzero(totals == k)
-        block = expm_nilpotent(coefficient * fock.one_body(_raising_modes(params), k))
+        block = expm_series(coefficient * fock.one_body(_raising_modes(params), k))
         assert np.abs(factor[np.ix_(idx, idx)] - block).max() <= 1e-15
 
 

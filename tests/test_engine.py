@@ -6,10 +6,8 @@ from numpy.testing import assert_allclose
 
 from couplersim.engine import (
     NonFinite,
-    NotNilpotent,
     eigh_hermitian,
     expm_hermitian,
-    expm_nilpotent,
     finite_max,
     is_unitary,
 )
@@ -76,36 +74,6 @@ class TestEighHermitian:
             eigh_hermitian(np.eye(2))
         with pytest.raises(np.linalg.LinAlgError):
             expm_hermitian(np.eye(2), 1.0)
-
-
-class TestExpmNilpotent:
-    def test_zero_matrix(self):
-        assert_allclose(expm_nilpotent(np.zeros((4, 4))), np.eye(4), atol=1e-15)
-
-    def test_nilpotent_series_terminates(self):
-        x = 3.7 - 0.2j
-        a = np.array([[0, x], [0, 0]], dtype=complex)
-        assert_allclose(expm_nilpotent(a), np.array([[1, x], [0, 1]]), atol=1e-15)
-
-    def test_jordan_block_closed_form(self):
-        # exp(x J) for the shift J has entries x^(j-i) / (j-i)! above the
-        # diagonal; with x = 50 they reach 50^5/5! ~ 2.6e6.
-        n, x = 6, 50.0
-        a = np.diag(np.full(n - 1, x), 1)
-        expected = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                expected[i, j] = x ** (j - i) / math.factorial(j - i)
-        assert_allclose(expm_nilpotent(a), expected, rtol=1e-14, atol=0.0)
-
-    def test_rejects_non_nilpotent(self):
-        with pytest.raises(NotNilpotent):
-            expm_nilpotent(np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-    def test_rejects_non_finite(self):
-        bad = np.array([[0.0, np.inf], [0.0, 0.0]])
-        with pytest.raises(NonFinite):
-            expm_nilpotent(bad)
 
 
 def test_is_unitary():

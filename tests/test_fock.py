@@ -5,9 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from couplersim.coupler import CouplerParams, build_hamiltonian
-from couplersim.fock import ModeLayout, block_occupations, one_body
+from couplersim.engine import expm_hermitian
+from couplersim.fock import ModeLayout, block_occupations, image, one_body
 
-from helpers import block_states, tensor_one_body, tensor_totals
+from helpers import (
+    block_states,
+    expm_series,
+    random_hermitian,
+    tensor_one_body,
+    tensor_totals,
+)
 
 
 def test_layout_validation():
@@ -207,3 +214,55 @@ class TestOneBodyOracle:
         for k in range(n_max + 1):
             size = math.comb(k + mode_count - 1, mode_count - 1)
             assert_allclose(one_body(np.eye(mode_count), k), k * np.eye(size), atol=0)
+
+
+class TestImage:
+    """image(u, n_max) is the group image Gamma(u), checked on blocks K <= 4 of M = 2..5 modes."""
+
+    N_MAX = 4
+
+    @pytest.mark.parametrize("mode_count", [2, 3, 4, 5])
+    def test_image_of_exponential_is_exponential_of_one_body(self, rng, mode_count):
+        h, t = random_hermitian(rng, mode_count, scale=3.0), 1.3
+        blocks = image(expm_hermitian(h, t), self.N_MAX)
+        assert len(blocks) == self.N_MAX + 1
+        for k, block in enumerate(blocks):
+            assert_allclose(block, expm_hermitian(one_body(h, k), t), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("mode_count", [2, 3, 4, 5])
+    def test_image_of_product_is_product_of_images(self, rng, mode_count):
+        # any complex u and v, not only unitary ones
+        u, v = random_mode_matrix(rng, mode_count), random_mode_matrix(rng, mode_count)
+        for gu, gv, guv in zip(*(image(x, self.N_MAX) for x in (u, v, u @ v))):
+            assert np.linalg.norm(gu @ gv - guv) <= 1e-13 * max(1.0, np.linalg.norm(guv))
+
+    @pytest.mark.parametrize("mode_count", [2, 3, 4, 5])
+    def test_image_of_one_step_is_the_terminating_series(self, rng, mode_count):
+        # c moves quanta into mode 0 only, so c^2 = 0 and exp(x c) = I + x c;
+        # its image is the finite series of x one_body(c, k).
+        c = np.zeros((mode_count, mode_count), dtype=complex)
+        c[0, 1:] = random_mode_matrix(rng, mode_count)[0, 1:]
+        x = 0.8 - 0.6j
+        blocks = image(np.eye(mode_count) + x * c, self.N_MAX)
+        for k, block in enumerate(blocks):
+            series = expm_series(x * one_body(c, k))
+            assert np.linalg.norm(block - series) <= 1e-14 * np.linalg.norm(series)
+
+    @pytest.mark.parametrize("mode_count,n_max", [(2, 34), (3, 4), (4, 4), (5, 4)])
+    def test_permutation_permutes_the_occupations_exactly(self, mode_count, n_max):
+        # Gamma(P)|n> = |P n>: mode j's occupation moves to mode perm[j].  A
+        # cycle, so that at M >= 3 P differs from its inverse.  Two modes go
+        # up to K = 34: sqrt(a) * (1 / sqrt(a)) is not 1 at a = 15, 29, 30
+        # and 34, so only a ratio of the equal roots keeps the entries 1.
+        perm = np.roll(np.arange(mode_count), 1)
+        p = np.zeros((mode_count, mode_count))
+        p[perm, np.arange(mode_count)] = 1.0
+        for k, block in enumerate(image(p, n_max)):
+            states = block_states(mode_count, k)
+            expected = np.zeros((len(states), len(states)))
+            for col, n in enumerate(states):
+                moved = [0] * mode_count
+                for j in range(mode_count):
+                    moved[perm[j]] = n[j]
+                expected[states.index(tuple(moved)), col] = 1.0
+            assert np.array_equal(block, expected)
