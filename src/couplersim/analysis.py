@@ -6,14 +6,14 @@ the diagonal amplitudes of the computational inputs, and measures
 entanglement by Schmidt coefficients; no verdict is made here.  truth_table
 and scan_times take the coupler alone and no layout: they build the
 excitation blocks K <= N+1 that hold the occupation-0/1 inputs from N, so
-they have no truncation to choose.  scan_times evaluates U(t) on the inputs
-one block K at a time, scores only the grid points whose column norms allow
-a hit, and sizes its chunks of points by a budget of elements.  The gate
-times have a closed form for any couplings: the one-mode coupling matrix
-has eigenvalues +-||g|| and 0, so the interaction is the identity at
-t = 2 pi k / ||g||, the float gate_time returns.  Qubit states travel as
-rows: random product states are drawn as a (count, 2^n) stack and schmidt
-returns the singular values of a whole stack from one SVD.
+they have no truncation to choose.  scan_times screens every grid point on
+the block K = N+1, the one input 1...1, builds the other blocks only where
+that scalar allows a hit, and sizes its chunks of points by a budget of
+elements.  The gate times have a closed form for any couplings: the one-mode
+coupling matrix has eigenvalues +-||g|| and 0, so the interaction is the
+identity at t = 2 pi k / ||g||, the float gate_time returns.  Qubit states
+travel as rows: random product states are drawn as a (count, 2^n) stack and
+schmidt returns the singular values of a whole stack from one SVD.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ FREE_PHASE_TOL = 1e-9
 MIN_MAGNITUDE = 0.1
 
 # Complex elements (each point's phases and blocks R_K) per chunk of
-# scan_times' grid, and the rounding allowed between a column norm and the
-# Gram diagonal it bounds when scan_times drops points that cannot be hits.
+# scan_times' grid, and the rounding allowed between |R_{N+1}|^2 and the Gram
+# entry it bounds when scan_times screens out points that cannot be hits.
 _SCAN_BUDGET = 2**16
 _NORM_MARGIN = 1e-12
 
@@ -199,8 +199,10 @@ def scan_times(
     H is built and each block K <= N+1 diagonalized once.  R and every
     candidate C conserve K, so a grid point is evaluated a block at a time,
     R_K(t) = exp(-i t lambda_K) @ P_K, and leakage^2 and distance^2 are sums
-    over K.  A point is scored only when every column norm ||R e_x||^2,
-    within leakage of 1, is within tol + 1e-12 of 1.  Chunks of points hold
+    over K.  Block N+1 holds the one input 1...1, so R_{N+1}(t) is a scalar
+    within leakage of the unit circle: only points where |R_{N+1}|^2 is
+    within tol + 1e-12 of 1 get their other blocks and distances, and only
+    those within tol of a candidate their Gram matrix.  Chunks of points hold
     at most 2^16 complex elements, 5461 points at N = 1 and 1638 at N = 2.
     The range is refused by the phase rule on the blocks K <= N+1 at its
     largest |t|, t_min or t_max, where every phase t lambda is largest.
@@ -228,17 +230,15 @@ def scan_times(
     hits = []
     for start in range(0, steps, chunk):
         times = grid[start : start + chunk]
-        rs = _restrictions(blocks, times)
-        # |(R^dag R)_xx - 1| <= leakage, so a larger deficit cannot be a hit.
-        norms = [np.sum(np.abs(r) ** 2, axis=1) for r in rs]
-        deficit = np.max([np.abs(n - 1.0).max(axis=1) for n in norms], axis=0)
-        kept = deficit <= tol + _NORM_MARGIN
-        times, rs = times[kept], [r[kept] for r in rs]
-        grams = (r.conj().swapaxes(1, 2) @ r for r in rs)
-        leakage = _frobenius(g - np.eye(g.shape[1]) for g in grams)
+        (top,) = _restrictions(blocks[-1:], times)
+        kept = np.abs(np.abs(top[:, 0, 0]) ** 2 - 1.0) <= tol + _NORM_MARGIN
+        times, top = times[kept], top[kept]
+        rs = [*_restrictions(blocks[:-1], times), top]
         distances = _frobenius(r[:, None] - f for r, f in zip(rs, families))
-        close = (leakage <= tol) & (distances.min(axis=1) <= tol)
-        for i in np.flatnonzero(close):
+        near = np.flatnonzero(distances.min(axis=1) <= tol)
+        grams = (r[near].conj().swapaxes(1, 2) @ r[near] for r in rs)
+        leakage = _frobenius(g - np.eye(g.shape[1]) for g in grams)
+        for i in near[leakage <= tol]:
             best_dist, best_label = min(zip(distances[i].tolist(), labels))
             hits.append(ScanHit(t=float(times[i]), label=best_label, distance=best_dist))
     return hits

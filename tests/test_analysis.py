@@ -234,6 +234,25 @@ def test_candidates_conserve_the_number_of_ones(modes):
         assert np.array_equal(ones[outputs], ones[inputs]), gate.label
 
 
+@pytest.mark.parametrize("n_outer", [1, 2, 3, 4, 5])
+def test_top_block_is_the_all_ones_input_alone(n_outer):
+    # scan_times screens every point on R_{N+1} = <1...1|U(t)|1...1>, a
+    # scalar whose P_{N+1} column holds the weights |v_j|^2 of that input on
+    # the eigenvectors: real, >= 0 and summing to R_{N+1}(0) = 1.  From N = 2
+    # one coupling is zero (at N = 1 the only one must not be).
+    rng = np.random.default_rng(40 + n_outer)
+    g = rng.uniform(0.3, 1.5, n_outer) * rng.choice([-1.0, 1.0], n_outer)
+    if n_outer > 1:
+        g[rng.integers(n_outer)] = 0.0
+    params = CouplerParams(w=float(rng.uniform(-1.0, 1.0)), couplings=tuple(g.tolist()))
+    _, terms, codes = analysis._computational_spectrum(params)[-1]
+    assert codes.tolist() == [2 ** (n_outer + 1) - 1]
+    assert terms.shape[1] == 1
+    assert np.abs(terms.imag).max() <= 1e-15
+    assert terms.real.min() >= 0.0
+    assert abs(terms.sum() - 1.0) <= 1e-14
+
+
 # sqrt(4 - 3 * 2^(-2/3)): the closest R(t) comes to control-C at N = 1.
 CONTROL_C_APPROACH = math.sqrt(4.0 - 3.0 * 2.0 ** (-2.0 / 3.0))
 
@@ -375,6 +394,30 @@ def reference_scan(params, t_min, t_max, steps, tol):
     return hits
 
 
+def top_deviation(params, t):
+    """||<1...1|U(t)|1...1>|^2 - 1| from the exact propagator."""
+    return abs(abs(computational_restriction(params, t)[-1, -1]) ** 2 - 1.0)
+
+
+def record_restrictions(monkeypatch, params, points):
+    """Size scan_times' chunks to `points` points; list each _restrictions call.
+
+    The list holds (blocks, times) per call, in call order.
+    """
+    blocks = analysis._computational_spectrum(params)
+    per_point = sum(len(lam) + len(codes) ** 2 for lam, _, codes in blocks)
+    monkeypatch.setattr(analysis, "_SCAN_BUDGET", points * per_point)
+    calls = []
+    original = analysis._restrictions
+
+    def recording_restrictions(blocks, times):
+        calls.append((blocks, times))
+        return original(blocks, times)
+
+    monkeypatch.setattr(analysis, "_restrictions", recording_restrictions)
+    return calls
+
+
 class TestScanOracle:
     """The batched scan against an independent per-point evaluation."""
 
@@ -416,27 +459,26 @@ class TestScanOracle:
     def test_grid_sizes_around_the_chunk(
         self, monkeypatch, params, t_min, t_max, chunks, extra
     ):
-        # A budget of 8 points per chunk, from the elements each point takes.
-        blocks = analysis._computational_spectrum(params)
-        per_point = sum(len(lam) + len(codes) ** 2 for lam, _, codes in blocks)
-        monkeypatch.setattr(analysis, "_SCAN_BUDGET", 8 * per_point)
-        calls = []
-        original = analysis._restrictions
-
-        def counting_restrictions(blocks, times):
-            calls.append(len(times))
-            return original(blocks, times)
-
-        monkeypatch.setattr(analysis, "_restrictions", counting_restrictions)
+        # Each chunk screens all its points on the top block, then builds the
+        # other blocks on the points within tol of |R_{N+1}|^2 = 1 only.
+        calls = record_restrictions(monkeypatch, params, 8)
         steps = chunks * 8 + extra
         expected = reference_scan(params, t_min, t_max, steps, 0.2)
         hits = scan_times(params, t_min=t_min, t_max=t_max, steps=steps, tol=0.2)
-        assert calls == [8] * chunks + ([extra] if extra else [])
+        assert len(calls) % 2 == 0
+        top, rest = calls[::2], calls[1::2]
+        assert [len(times) for _, times in top] == [8] * chunks + ([extra] if extra else [])
+        assert all(len(blocks) == 1 for blocks, _ in top)
+        assert all(len(blocks) == params.n_outer + 1 for blocks, _ in rest)
+        for (_, screened), (_, built) in zip(top, rest):
+            keep = [top_deviation(params, float(t)) <= 0.2 + 1e-12 for t in screened]
+            assert built.tolist() == screened[keep].tolist()
         assert [(h.t, h.label) for h in hits] == [(t, label) for t, label, _ in expected]
         for hit, (_, _, dist) in zip(hits, expected):
             assert abs(hit.distance - dist) <= 1e-12
         if chunks >= 3:
             assert expected, "oracle found no hits; the comparison would be vacuous"
+            assert sum(len(times) for _, times in rest) < steps
 
     @pytest.mark.parametrize(
         "params, t_min, t_max, steps",
@@ -447,20 +489,20 @@ class TestScanOracle:
         ids=["n1", "n2"],
     )
     def test_prefilter_keeps_a_point_at_the_tolerance(self, params, t_min, t_max, steps):
-        # The point whose column-norm deficit is largest against
-        # max(leakage, distance), all from the per-point oracle, is still
-        # reported when tol is that maximum: the deficit bounds the leakage
-        # from below and never drops a point the hit rule would keep.  The
-        # 1e-14 covers the scan and the oracle rounding differently.
+        # The point whose top-block deviation ||R_{N+1}|^2 - 1| is largest
+        # against max(leakage, distance), all from the per-point oracle, is
+        # still reported when tol is that maximum: the deviation bounds the
+        # leakage from below and never drops a point the hit rule would keep.
+        # The 1e-14 covers the scan and the oracle rounding differently.
         candidates = realizable_gates(params.n_outer + 1)
         best = None
         for t in np.linspace(t_min, t_max, steps):
             r = computational_restriction(params, float(t))
-            gram = r.conj().T @ r - np.eye(len(r))
             bound = max(
-                np.linalg.norm(gram), min(np.linalg.norm(r - c.matrix) for c in candidates)
+                np.linalg.norm(r.conj().T @ r - np.eye(len(r))),
+                min(np.linalg.norm(r - c.matrix) for c in candidates),
             )
-            ratio = np.max(np.abs(np.diag(gram))) / bound
+            ratio = abs(abs(r[-1, -1]) ** 2 - 1.0) / bound
             if bound <= 0.3 and (best is None or ratio > best[0]):
                 best = (ratio, float(t), bound)
         ratio, t, bound = best
@@ -472,6 +514,36 @@ class TestScanOracle:
         assert [(h.t, h.label) for h in hits] == [(t, label) for t, label, _ in expected]
         for hit, (_, _, dist) in zip(hits, expected):
             assert abs(hit.distance - dist) <= 1e-12
+
+    def test_chunks_the_screen_empties(self, monkeypatch):
+        # At w = g / 2, |R_2|^2 returns to 1 near every t = k pi, and the
+        # hits are at even k, so the 8-point chunks between those windows
+        # keep no point; the scan passes them over without error.
+        params = equal_params(1, 1.0, 0.5)
+        calls = record_restrictions(monkeypatch, params, 8)
+        expected = reference_scan(params, 0.1, 13.0, 400, 0.05)
+        hits = scan_times(params, t_min=0.1, t_max=13.0, steps=400, tol=0.05)
+        gates = {identity_gate(2).label, relative_phase_2(math.pi).label}
+        assert {label for _, label, _ in expected} == gates
+        assert [(h.t, h.label) for h in hits] == [(t, label) for t, label, _ in expected]
+        for hit, (_, _, dist) in zip(hits, expected):
+            assert abs(hit.distance - dist) <= 1e-12
+        screened = [times for _, times in calls[::2]]
+        built = [times for _, times in calls[1::2]]
+        assert any(
+            hits[0].t < chunk[0] and chunk[-1] < hits[-1].t and not len(kept)
+            for chunk, kept in zip(screened, built)
+        )
+
+    def test_survivors_near_no_candidate_are_not_hits(self, monkeypatch):
+        # Around t = 3 pi the top block is back on the unit circle and
+        # R(t) ~ diag(1, -i, -i, -1) leaks nothing, but it is 2 or more from
+        # every candidate: points survive the screen and none is a hit.
+        params = equal_params(1, 1.0, 0.5)
+        calls = record_restrictions(monkeypatch, params, 8)
+        assert reference_scan(params, 9.0, 9.9, 60, 0.05) == []
+        assert scan_times(params, t_min=9.0, t_max=9.9, steps=60, tol=0.05) == []
+        assert sum(len(times) for _, times in calls[1::2]) > 0
 
     def test_random_couplers_match_per_point_reference(self):
         # N = 1, 2 and 3 with random signs and sizes, the N = 2 one with a
