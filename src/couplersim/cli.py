@@ -127,9 +127,8 @@ def _csv_text(header: list[str], rows: list[dict]) -> str:
 def cmd_verify(args) -> int:
     params, config = _coupler_setup(args)
     config.update(n_max=args.nmax, t=args.time)
-    layout = params.layout(args.nmax)
-    report = coupler.verify_factorization(params, layout, args.time)
-    algebra_residual = coupler.algebra_check(params, layout)
+    report = coupler.verify_factorization(params, params.layout(args.nmax), args.time)
+    algebra_residual = coupler.algebra_check(params)
     max_error = max(report.max_block_distance, algebra_residual)
     passed = max_error <= args.tol
     results = {

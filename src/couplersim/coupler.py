@@ -33,8 +33,11 @@ t*lambda_max (CouplerParams.check_phases).  Each factor is the Fock image
 exp(eps f A+) is the image of I + eps f c, and the free phase is the image of
 exp(-i t w) I.  The image is a homomorphism, so the disentangled propagator
 is the image of the product of three (N+1) x (N+1) matrices; only the
-oracle, exact_propagator, works on the Fock blocks.  The checks here
-measure; the caller decides pass or fail.
+oracle, exact_propagator, works on the Fock blocks.  one_body maps
+commutators to commutators, so the su(2) relations among J+, J- and J3 hold
+on every block iff they hold on the mode matrices, and algebra_check checks
+them there, with no n_max.  The checks here measure; the caller decides
+pass or fail.
 """
 
 from __future__ import annotations
@@ -253,35 +256,33 @@ def _su2_generators(params: CouplerParams) -> tuple[np.ndarray, np.ndarray]:
     return c, 0.5 * m
 
 
-def algebra_check(params: CouplerParams, layout: ModeLayout) -> float:
+def algebra_check(params: CouplerParams) -> float:
     """Worst residual of the su(2)-type relations among the interaction generators.
 
     With J- = J+^dag and kappa = sum_j g_j^2 the relations are [J+, J-] = 2 J3
     and [J3, J+-] = +-kappa J+-.  They are the relations of the paper's scaled
     generators L+- = eps J+-, L3 = eps^2 J3 with the powers of eps = -i t
     divided out, so the residual carries no t-dependent scale and the sign is
-    fixed.  J3 is Hermitian (the image of a real symmetric mode matrix), so the
-    J- residual is minus the adjoint of the J+ one and is not formed.  Both
+    fixed.  J3 is Hermitian (its mode matrix is real symmetric), so the J-
+    residual is minus the adjoint of the J+ one and is not formed.  Both
     sides are homogeneous in g (degree 2 in the first relation, 3 in the
     second), so they are checked on the unit couplings g / ||g||: the
     residual is scale free, and no coupling large enough to overflow kappa or
-    a commutator reaches them.  Each relation is checked on every block
-    K = 0..n_max; its residual is the Frobenius norm over all blocks,
-    sqrt(sum_K ||r_K||^2), and the larger of the two is returned.
+    a commutator reaches them.  The relations are checked on the
+    (N+1) x (N+1) mode matrices.  fock.one_body is linear and maps
+    commutators to commutators, [one_body(a), one_body(b)] = one_body([a, b]),
+    so a relation's residual on block K is one_body of its mode residual r;
+    that is 0 on every block iff r = 0, and block 1 is r itself, up to the
+    order of the modes.  The residual of a relation is the Frobenius norm of
+    r, which does not depend on n_max; the larger of the two is returned.
     """
     norm = params.coupling_norm
     unit = replace(params, couplings=tuple(g / norm for g in params.couplings))
-    plus_modes, j3_modes = _su2_generators(unit)
+    j_plus, j3 = _su2_generators(unit)
     kappa = sum(g * g for g in unit.couplings)
-
-    def comm(x, y):
-        return x @ y - y @ x
-
-    squares = np.zeros(2)
-    for k in range(layout.n_max + 1):
-        j_plus, j3 = fock.one_body(plus_modes, k), fock.one_body(j3_modes, k)
-        squares += [
-            np.linalg.norm(comm(j_plus, j_plus.conj().T) - 2.0 * j3) ** 2,
-            np.linalg.norm(comm(j3, j_plus) - kappa * j_plus) ** 2,
-        ]
-    return finite_max(np.sqrt(squares), "algebra residual")
+    j_minus = j_plus.conj().T
+    residuals = [
+        np.linalg.norm(j_plus @ j_minus - j_minus @ j_plus - 2.0 * j3),
+        np.linalg.norm(j3 @ j_plus - j_plus @ j3 - kappa * j_plus),
+    ]
+    return finite_max(residuals, "algebra residual")

@@ -9,11 +9,13 @@ lexicographically.  A one-body operator maps each block into itself, so a
 block, and every sum and product of blocks, is exact: no matrix element is
 dropped.  The exponential of one_body(m) is the image Gamma(exp(m)) of an
 M x M matrix, and image(u, n_max) builds the blocks K = 0..n_max of Gamma(u),
-each from the one below.  A layout holds the blocks K = 0..n_max; the
-coupler reads only its n_max.  Mode 0 is the central waveguide mode; the
-outer modes follow in order.  As in engine, the inputs are package-built:
-the coupler's square mode matrices, at least two modes, and K from a loop
-over range; only a layout's n_max, which the command line sets, is checked.
+each from the one below.  The index tables of both depend on M and K alone:
+they are built on first use, cached per block and read-only.  A layout
+holds the blocks K = 0..n_max; the coupler reads only its n_max.  Mode 0 is
+the central waveguide mode; the outer modes follow in order.  As in engine,
+the inputs are package-built: the coupler's square mode matrices, at least
+two modes, and K from a loop over range; only a layout's n_max, which the
+command line sets, is checked.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ class ModeLayout:
 
 
 @lru_cache(maxsize=None)
-def _block(mode_count: int, k: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Occupation table of block K, a_i^dag from block K - 1 into it, and its moves.
+def _block(mode_count: int, k: int) -> tuple[np.ndarray, tuple, tuple]:
+    """Occupation table of block K, one_body's moves in it, and image's lift into it.
 
     up[q, i] is the index in block K of state q of block K - 1 with one more
     quantum in mode i; the element of a_i^dag there is sqrt(q_i + 1).  Block
@@ -55,6 +57,9 @@ def _block(mode_count: int, k: int) -> tuple[np.ndarray, np.ndarray, tuple[np.nd
     i != j, come from the same table: a_j takes src down to q and a_i^dag
     takes q up to dst, with element sqrt((q_i + 1) (q_j + 1)), the root of
     the integer product, so that a move and its reverse agree to the bit.
+    image's lift (up.T, root, q, j, root[q, j]) does not depend on u: root
+    holds sqrt(q_i + 1), and the pairs (q, j) with modes < j empty in q are
+    one per state T = q + e_j of block K, sorted by T.  All are read-only.
     """
     if k == 0:
         below = np.zeros((0, mode_count), dtype=np.int64)
@@ -68,9 +73,13 @@ def _block(mode_count: int, k: int) -> tuple[np.ndarray, np.ndarray, tuple[np.nd
     pairs = ~np.eye(mode_count, dtype=bool)  # every mode pair i != j
     q, i, j = np.nonzero(np.broadcast_to(pairs, (len(below), *pairs.shape)))
     moves = (up[q, i], up[q, j], i, j, np.sqrt((below[q, i] + 1) * (below[q, j] + 1)))
-    for a in (table, up, *moves):
+    root = np.sqrt(below + 1.0)
+    q, j = np.nonzero(np.cumsum(below, axis=1) == below)
+    order = np.argsort(up[q, j])
+    lift = (up.T, root, q[order], j[order], root[q[order], j[order]])
+    for a in (table, *moves, *lift):
         a.setflags(write=False)
-    return table, up, moves
+    return table, moves, lift
 
 
 def block_occupations(mode_count: int, k: int) -> np.ndarray:
@@ -87,7 +96,7 @@ def one_body(m, k: int) -> np.ndarray:
     entry, so every entry is one coefficient times one element.
     """
     m = np.asarray(m)
-    table, _, (dst, src, i, j, element) = _block(len(m), k)
+    table, (dst, src, i, j, element), _ = _block(len(m), k)
     out = np.zeros((len(table), len(table)), dtype=complex)
     out[np.diag_indices(len(table))] = table @ np.diag(m)
     out[dst, src] = m[i, j] * element
@@ -106,21 +115,17 @@ def image(u, n_max: int) -> list[np.ndarray]:
     the first occupied mode of T.  The element sqrt(q_i + 1) of a_i^dag is
     divided by sqrt(t_j) before anything multiplies it; for a permutation
     matrix the two roots are equal, so it maps to the permutation of the
-    occupations exactly.
+    occupations exactly.  The states, roots and pairs (q, j) are the cached
+    lift of _block, sorted by T, so a call only gathers the columns q of
+    block K - 1, multiplies and scatter-adds the rows up[:, i].
     """
     u = np.asarray(u, dtype=complex)
     blocks = [np.ones((1, 1), dtype=complex)]
     for k in range(1, n_max + 1):
-        below = _block(len(u), k - 1)[0]
-        table, up, _ = _block(len(u), k)
-        root = np.sqrt(below + 1.0)
-        # (q, j) with modes < j empty in q: T = q + e_j has first occupied mode j
-        q, j = np.nonzero(np.cumsum(below, axis=1) == below)
-        lowered = blocks[-1][:, q]
-        raised = np.zeros((len(table), len(q)), dtype=complex)
-        for i in range(len(u)):
-            raised[up[:, i]] += u[i, j] * (root[:, i, None] / root[q, j]) * lowered
-        out = np.empty_like(raised)
-        out[:, up[q, j]] = raised
-        blocks.append(out)
+        up_t, root, q, j, root_qj = _block(len(u), k)[2]
+        lowered, coefficients = blocks[-1][:, q], u[:, j]
+        raised = np.zeros((len(q), len(q)), dtype=complex)
+        for i, rows in enumerate(up_t):
+            raised[rows] += coefficients[i] * (root[:, i, None] / root_qj) * lowered
+        blocks.append(raised)
     return blocks

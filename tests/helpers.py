@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 
+from couplersim import coupler, fock
+
 
 def random_unitary(rng, n: int) -> np.ndarray:
     """Haar-ish unitary via QR of a complex Gaussian matrix."""
@@ -59,3 +61,59 @@ def tensor_one_body(m, d: int) -> np.ndarray:
 def tensor_totals(modes: int, d: int) -> np.ndarray:
     """Total occupation of every tensor-product index."""
     return np.indices((d,) * modes).reshape(modes, -1).sum(axis=0)
+
+
+def fock_algebra_residuals(params, n_max: int) -> np.ndarray:
+    """The su(2) residuals of coupler.algebra_check, formed on the Fock blocks.
+
+    The relations [J+, J-] = 2 J3 and [J3, J+] = kappa J+ on the blocks
+    K = 0..n_max of the one-body images of coupler._su2_generators, at the
+    unit couplings g / ||g||; each residual is the Frobenius norm over all
+    blocks, sqrt(sum_K ||r_K||^2).  This is algebra_check as it was before it
+    moved to the mode matrices, kept as the second oracle of the relations.
+    """
+    norm = params.coupling_norm
+    unit = coupler.CouplerParams(params.w, tuple(g / norm for g in params.couplings))
+    plus_modes, j3_modes = coupler._su2_generators(unit)
+    kappa = sum(g * g for g in unit.couplings)
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    squares = np.zeros(2)
+    for k in range(n_max + 1):
+        j_plus, j3 = fock.one_body(plus_modes, k), fock.one_body(j3_modes, k)
+        squares += [
+            np.linalg.norm(comm(j_plus, j_plus.conj().T) - 2.0 * j3) ** 2,
+            np.linalg.norm(comm(j3, j_plus) - kappa * j_plus) ** 2,
+        ]
+    return np.sqrt(squares)
+
+
+def image_reference(u, n_max: int) -> list[np.ndarray]:
+    """Blocks K = 0..n_max of Gamma(u), by fock.image's loop with every index recomputed.
+
+    The states come from fock.block_occupations, and up[q, i], the index of
+    q + e_i, from a dictionary of the occupation tuples, so nothing is read
+    from image's cached tables.  The arithmetic is image's, in the same
+    order: u[i, j] * (root_i / root_qj) * lowered, summed over i from 0.
+    """
+    u = np.asarray(u, dtype=complex)
+    modes = len(u)
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for k in range(1, n_max + 1):
+        below, table = fock.block_occupations(modes, k - 1), fock.block_occupations(modes, k)
+        index = {tuple(row): n for n, row in enumerate(table.tolist())}
+        shift = np.eye(modes, dtype=np.int64)
+        up = np.array([[index[tuple(row + shift[i])] for i in range(modes)] for row in below])
+        root = np.sqrt(below + 1.0)
+        # (q, j) with modes < j empty in q: T = q + e_j has first occupied mode j
+        q, j = np.nonzero(np.cumsum(below, axis=1) == below)
+        lowered = blocks[-1][:, q]
+        raised = np.zeros((len(table), len(q)), dtype=complex)
+        for i in range(modes):
+            raised[up[:, i]] += u[i, j] * (root[:, i, None] / root[q, j]) * lowered
+        out = np.empty_like(raised)
+        out[:, up[q, j]] = raised
+        blocks.append(out)
+    return blocks

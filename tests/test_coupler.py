@@ -22,7 +22,13 @@ from couplersim.coupler import (
 )
 from couplersim.engine import is_unitary
 
-from helpers import block_states, expm_series, tensor_one_body, tensor_totals
+from helpers import (
+    block_states,
+    expm_series,
+    fock_algebra_residuals,
+    tensor_one_body,
+    tensor_totals,
+)
 
 
 def params_and_layout(n_outer, g, w, n_max):
@@ -290,7 +296,7 @@ class TestVerifyFactorization:
         report = verify_factorization(params, layout, 1.1)
         assert report.max_block_distance <= 1e-8
         assert [k for k, _ in report.block_distances] == [0, 1, 2, 3, 4]
-        assert algebra_check(params, layout) <= 1e-12
+        assert algebra_check(params) <= 1e-12
 
     def test_random_couplers_near_the_pole(self):
         # The product of the mode matrices stays accurate up to the pole
@@ -338,12 +344,10 @@ class TestVerifyFactorization:
 
 class TestAlgebraCheck:
     def test_equal_couplings(self):
-        params, layout = params_and_layout(1, 1.0, 0.5, 4)
-        assert algebra_check(params, layout) <= 1e-12
+        assert algebra_check(CouplerParams(w=0.5, couplings=(1.0,))) <= 1e-12
 
     def test_unequal_couplings(self):
-        params = CouplerParams(w=0.5, couplings=(0.3, 0.9))
-        assert algebra_check(params, layout=params.layout(3)) <= 1e-12
+        assert algebra_check(CouplerParams(w=0.5, couplings=(0.3, 0.9))) <= 1e-12
 
     @pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
     def test_residual_scales_with_t(self, t):
@@ -376,12 +380,30 @@ class TestAlgebraCheck:
         # Checked on g / ||g||, so kappa ~ 1e320 and commutators of
         # 1e160-sized generators are never formed.
         params = CouplerParams(w=0.7, couplings=(1e160, -3e160))
-        assert algebra_check(params, params.layout(3)) <= 1e-12
+        assert algebra_check(params) <= 1e-12
 
-    def test_wrong_sign_fails(self, monkeypatch):
-        # J3 with the opposite sign breaks every relation by O(1), so the
-        # check can fail on the sign.
-        params = CouplerParams(w=0.5, couplings=(0.3, 0.9))
+    @staticmethod
+    def _random_couplers(rng, count):
+        # N <= 4 and n_max <= 4; couplings of either sign, some exactly zero
+        for _ in range(count):
+            n_outer, n_max = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            g = rng.normal(size=n_outer) * (rng.random(n_outer) < 0.8)
+            if not g.any():
+                g[0] = -0.7
+            yield CouplerParams(w=rng.normal(), couplings=tuple(g)), n_max
+
+    def test_agrees_with_the_fock_oracle(self, rng):
+        # The relations hold on the mode matrices and on every Fock block.
+        for params, n_max in self._random_couplers(rng, 40):
+            assert algebra_check(params) <= 1e-12
+            assert max(fock_algebra_residuals(params, n_max)) <= 1e-12
+
+    def test_wrong_sign_fails(self, rng, monkeypatch):
+        # J3 with the opposite sign breaks every relation by O(1), on the
+        # mode matrices and on the Fock blocks, so the check can fail on the
+        # sign.  Block 0 of a one-body operator is 0 and block 1 is its mode
+        # matrix with the modes reversed, so the Fock residual over K <= 1 is
+        # the mode residual.
         right = coupler._su2_generators
 
         def flipped(p):
@@ -389,11 +411,19 @@ class TestAlgebraCheck:
             return j_plus, -j3
 
         monkeypatch.setattr(coupler, "_su2_generators", flipped)
-        assert algebra_check(params, params.layout(3)) >= 1.0
+        for params, n_max in self._random_couplers(rng, 40):
+            residual = algebra_check(params)
+            assert residual >= 1.0
+            assert min(fock_algebra_residuals(params, n_max)) >= 1.0
+            assert max(fock_algebra_residuals(params, 1)) == pytest.approx(residual, rel=1e-12)
 
-    def test_any_n_max_is_valid(self):
-        params, _ = params_and_layout(1, 1.0, 0.5, 2)
-        assert algebra_check(params, fock.ModeLayout(2, 3)) <= 1e-12
+    def test_calls_nothing_in_fock(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("algebra_check called fock")
+
+        monkeypatch.setattr(fock, "one_body", refuse)
+        monkeypatch.setattr(fock, "image", refuse)
+        assert algebra_check(CouplerParams(w=0.5, couplings=(0.3, -0.9, 0.0))) <= 1e-12
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["j3", "flipped_j3"])
     def test_dropped_j_minus_relation_mirrors_j_plus(self, rng, sign):

@@ -6,11 +6,13 @@ from numpy.testing import assert_allclose
 
 from couplersim.coupler import CouplerParams, build_hamiltonian
 from couplersim.engine import expm_hermitian
+from couplersim import fock
 from couplersim.fock import ModeLayout, block_occupations, image, one_body
 
 from helpers import (
     block_states,
     expm_series,
+    image_reference,
     random_hermitian,
     tensor_one_body,
     tensor_totals,
@@ -257,7 +259,9 @@ class TestImage:
         perm = np.roll(np.arange(mode_count), 1)
         p = np.zeros((mode_count, mode_count))
         p[perm, np.arange(mode_count)] = 1.0
+        reference = image_reference(p, n_max)
         for k, block in enumerate(image(p, n_max)):
+            assert np.array_equal(block, reference[k])
             states = block_states(mode_count, k)
             expected = np.zeros((len(states), len(states)))
             for col, n in enumerate(states):
@@ -266,3 +270,19 @@ class TestImage:
                     moved[perm[j]] = n[j]
                 expected[states.index(tuple(moved)), col] = 1.0
             assert np.array_equal(block, expected)
+
+    @pytest.mark.parametrize("mode_count", [2, 3, 4, 5])
+    def test_cached_tables_give_the_reference_blocks_to_the_bit(self, rng, mode_count):
+        # image reads its index tables from the block cache; the reference
+        # recomputes them and does the same arithmetic in the same order.
+        for _ in range(3):
+            u = random_mode_matrix(rng, mode_count)
+            for block, expected in zip(image(u, 5), image_reference(u, 5), strict=True):
+                assert np.array_equal(block, expected)
+
+    @pytest.mark.parametrize("mode_count,k", [(2, 0), (2, 3), (4, 1), (5, 4)])
+    def test_cached_tables_are_read_only(self, mode_count, k):
+        table, moves, lift = fock._block(mode_count, k)
+        for a in (table, *moves, *lift):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0

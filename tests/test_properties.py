@@ -44,7 +44,7 @@ def test_random_coupler(case):
     assert [k for k, _ in report.block_distances] == list(range(layout.n_max + 1))
     for u in exact_propagator(params, layout, t):
         assert is_unitary(u, 1e-10)
-    assert algebra_check(params, layout) <= 1e-12
+    assert algebra_check(params) <= 1e-12
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
