@@ -6,10 +6,10 @@ the diagonal amplitudes of the computational inputs, and measures
 entanglement by Schmidt coefficients; no verdict is made here.  truth_table
 and scan_times take the coupler alone and no layout: they build the
 excitation blocks K <= N+1 that hold the occupation-0/1 inputs from N, so
-they have no truncation to choose.  scan_times screens every grid point on
-the block K = N+1, the one input 1...1, builds the other blocks only where
-that scalar allows a hit, and sizes its chunks of points by a budget of
-elements.  The gate times have a closed form for any couplings: the one-mode
+they have no truncation to choose.  scan_times diagonalizes the mode
+matrix of H once, and its hits are the grid points within tol of a
+candidate gate, which leak at most 2 tol; the block K = N+1 screens every
+point.  The gate times have a closed form for any couplings: the one-mode
 coupling matrix has eigenvalues +-||g|| and 0, so the interaction is the
 identity at t = 2 pi k / ||g||, the float gate_time returns.  Qubit states
 travel as rows: random product states are drawn as a (count, 2^n) stack and
@@ -25,12 +25,12 @@ import numpy as np
 
 from .coupler import (
     CouplerParams,
-    build_hamiltonian,
     exact_propagator,
     factorized_propagator,
+    mode_hamiltonian,
 )
 from .engine import eigh_hermitian, finite_max
-from .fock import ModeLayout, block_occupations
+from .fock import block_occupations, image
 from .gates import identity_gate, relative_phase_2, relative_phase_n, swap_gate
 
 __all__ = [
@@ -54,10 +54,8 @@ FREE_PHASE_TOL = 1e-9
 MIN_MAGNITUDE = 0.1
 
 # Complex elements (each point's phases and blocks R_K) per chunk of
-# scan_times' grid, and the rounding allowed between |R_{N+1}|^2 and the Gram
-# entry it bounds when scan_times screens out points that cannot be hits.
+# scan_times' grid.
 _SCAN_BUDGET = 2**16
-_NORM_MARGIN = 1e-12
 
 # lambda_K, P_K and input codes of one block; see _computational_spectrum.
 _Block = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -95,10 +93,8 @@ def gate_time(params: CouplerParams, k: int = 1) -> float:
     return t
 
 
-def _computational_space(
-    params: CouplerParams,
-) -> tuple[ModeLayout, np.ndarray, np.ndarray]:
-    """The blocks K <= M and the K and place of each occupation-0/1 state.
+def _computational_space(params: CouplerParams) -> tuple[np.ndarray, np.ndarray]:
+    """The K and place of each occupation-0/1 state of the M = N + 1 modes.
 
     The 2^M states come in binary order, mode 0 most significant; each
     state's position is inside its block K, K its number of ones.
@@ -111,7 +107,7 @@ def _computational_space(
         table = block_occupations(modes, k)
         binary = np.flatnonzero(table.max(axis=1) <= 1)
         position[table[binary] @ (1 << shifts)] = binary
-    return params.layout(modes), bits.sum(axis=1), position
+    return bits.sum(axis=1), position
 
 
 def truth_table(
@@ -126,11 +122,11 @@ def truth_table(
     propagator refuses t by the phase rule on the blocks K <= N+1, as
     gate_time does.
     """
-    layout, totals, position = _computational_space(params)
+    totals, position = _computational_space(params)
     if method not in ("exact", "factorized"):
         raise ValueError(f"unknown propagator method {method!r}")
     propagator = exact_propagator if method == "exact" else factorized_propagator
-    u = propagator(params, layout, t)
+    u = propagator(params, params.layout(params.n_outer + 1), t)
     amplitudes = np.empty(len(totals), dtype=complex)
     leakages = []
     for x, (k, idx) in enumerate(zip(totals, position)):
@@ -147,12 +143,16 @@ def _computational_spectrum(params: CouplerParams) -> list[_Block]:
 
     P_K is the (dim_K, c_K^2) table of the terms v v^dag, v the c_K = C(M, K)
     computational rows of an eigenvector, so that one decomposition gives
-    U(t) on those inputs, R_K(t) = exp(-i t lambda_K) @ P_K, at any t.
+    U(t) on those inputs, R_K(t) = exp(-i t lambda_K) @ P_K, at any t.  Only
+    the mode matrix h = V diag(mu) V^dag is diagonalized: Gamma is a
+    homomorphism, so Gamma(V)_K diagonalizes H_K, column n to n . mu.
     """
-    layout, totals, position = _computational_space(params)
+    totals, position = _computational_space(params)
+    modes = params.n_outer + 1
+    mu, v = eigh_hermitian(mode_hamiltonian(params))
     blocks = []
-    for k, h in enumerate(build_hamiltonian(params, layout)):
-        evals, vecs = eigh_hermitian(h)
+    for k, vecs in enumerate(image(v, modes)):
+        evals = block_occupations(modes, k) @ mu
         codes = np.flatnonzero(totals == k)
         rows = vecs[position[codes]]
         terms = np.einsum("aj,bj->jab", rows, rows.conj()).reshape(len(evals), -1)
@@ -185,27 +185,28 @@ def scan_times(
     """Grid search for times where the coupler realizes a gate it can realize.
 
     A grid point is a hit when the restriction R(t) of U(t) to the
-    computational states has leakage ||R^dag R - I||_F <= tol and lies within
-    Frobenius distance tol of a candidate; the hit names the nearest, ties
-    broken on the label.  Results are ordered by t.  A leakage-free R(t) is,
-    up to a phase e^{-i phi K} per excitation K, the identity or the parity
-    gate, or with one nonzero coupling a phased SWAP; those (SWAP at N = 1)
-    are the candidates.  Control-C and the control phase shift are never
-    within 1.45: at N = 1, with z = e^{-i w t}, c = cos ||g|| t and
+    computational states lies within Frobenius distance tol of a candidate;
+    the hit names the nearest, ties broken on the label.  Results are ordered
+    by t.  A hit leaks at most 2 tol: R is a block of the unitary U(t), so
+    ||R||_2 <= 1, and for a unitary C, R^dag R - I = R^dag (R - C) +
+    (R - C)^dag C gives ||R^dag R - I||_F <= 2 ||R - C||_F.  A leakage-free
+    R(t) is, up to a phase e^{-i phi K} per excitation K, the identity or the
+    parity gate, or with one nonzero coupling a phased SWAP; those (SWAP at
+    N = 1) are the candidates.  Control-C and the control phase shift are
+    never within 1.45: at N = 1, with z = e^{-i w t}, c = cos ||g|| t and
     s = sin ||g|| t, R(t) = diag(1, z [[c, -+is], [-+is, c]], z^2 (2c^2 - 1)), so
         ||R - diag(1, 1, 1, -1)||^2 = 2|zc - 1|^2 + 2s^2 + |z^2 (2c^2 - 1) + 1|^2
     is least, 4 - 3 * 2^(-2/3) = 1.4526247^2, at c = 2^(-2/3) and z = 1, and
         ||R - diag(1, 1, -1, -1)||^2 = 4 + |z^2 (2c^2 - 1) + 1|^2 >= 2^2.
-    H is built and each block K <= N+1 diagonalized once.  R and every
+    H is diagonalized once, on its (N+1) x (N+1) mode matrix.  R and every
     candidate C conserve K, so a grid point is evaluated a block at a time,
-    R_K(t) = exp(-i t lambda_K) @ P_K, and leakage^2 and distance^2 are sums
-    over K.  Block N+1 holds the one input 1...1, so R_{N+1}(t) is a scalar
-    within leakage of the unit circle: only points where |R_{N+1}|^2 is
-    within tol + 1e-12 of 1 get their other blocks and distances, and only
-    those within tol of a candidate their Gram matrix.  Chunks of points hold
-    at most 2^16 complex elements, 5461 points at N = 1 and 1638 at N = 2.
-    The range is refused by the phase rule on the blocks K <= N+1 at its
-    largest |t|, t_min or t_max, where every phase t lambda is largest.
+    R_K(t) = exp(-i t lambda_K) @ P_K, and distance^2 is a float sum over K
+    of non-negative shares.  Block N+1 holds the one input 1...1: only
+    points whose scalar share |R_{N+1} - C_{N+1}|^2 is within tol^2 for some
+    C get their other blocks, and as the sum includes that share exactly,
+    no hit is dropped.  Chunks of points hold at most 2^16 complex elements,
+    5461 points at N = 1 and 1638 at N = 2.  The range is refused by the
+    phase rule on the blocks K <= N+1 at its largest |t|.
     """
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
@@ -231,14 +232,11 @@ def scan_times(
     for start in range(0, steps, chunk):
         times = grid[start : start + chunk]
         (top,) = _restrictions(blocks[-1:], times)
-        kept = np.abs(np.abs(top[:, 0, 0]) ** 2 - 1.0) <= tol + _NORM_MARGIN
+        kept = _frobenius([top[:, None] - families[-1]]).min(axis=1) <= tol
         times, top = times[kept], top[kept]
         rs = [*_restrictions(blocks[:-1], times), top]
         distances = _frobenius(r[:, None] - f for r, f in zip(rs, families))
-        near = np.flatnonzero(distances.min(axis=1) <= tol)
-        grams = (r[near].conj().swapaxes(1, 2) @ r[near] for r in rs)
-        leakage = _frobenius(g - np.eye(g.shape[1]) for g in grams)
-        for i in near[leakage <= tol]:
+        for i in np.flatnonzero(distances.min(axis=1) <= tol):
             best_dist, best_label = min(zip(distances[i].tolist(), labels))
             hits.append(ScanHit(t=float(times[i]), label=best_label, distance=best_dist))
     return hits

@@ -19,25 +19,25 @@ with A+ = sum_j g_j a^dag b_j, A- = A+^dag, eps = -i t, and coefficients
 
 where gamma = t^2 sum_j g_j^2.  Every operator here is the one-body image
 sum_kl m[k, l] c_k^dag c_l (fock.one_body, with c_0 = a and c_j = b_j) of an
-(N+1) x (N+1) mode matrix m: w I + G with G[0, j] = G[j, 0] = g_j for H, row
-0 equal to (0, g_1, ..., g_N) for A+, and (sum_j g_j^2 e_00 - g g^T) / 2 for
-the su(2) generator J3.  The coupler is (w, couplings) alone.  Its operators
-conserve excitation, so each is passed as the list of its dense blocks
-K = 0..n_max, and the identity is checked block by block.
-N comes from params; the layout supplies only n_max, how many blocks.  f
-diverges when sqrt(gamma) hits an odd multiple of pi, and evaluation is
-refused near those points rather than clamped.  Both propagators refuse a t
-whose phases exp(-i t lambda) floating point cannot resolve, by one rule on
-t*lambda_max (CouplerParams.check_phases).  Each factor is the Fock image
-(fock.image) of a mode matrix: the mode matrix c of A+ has c^2 = 0, so
-exp(eps f A+) is the image of I + eps f c, and the free phase is the image of
-exp(-i t w) I.  The image is a homomorphism, so the disentangled propagator
-is the image of the product of three (N+1) x (N+1) matrices; only the
-oracle, exact_propagator, works on the Fock blocks.  one_body maps
-commutators to commutators, so the su(2) relations among J+, J- and J3 hold
-on every block iff they hold on the mode matrices, and algebra_check checks
-them there, with no n_max.  The checks here measure; the caller decides
-pass or fail.
+(N+1) x (N+1) mode matrix m: w I + G with G[0, j] = G[j, 0] = g_j for H
+(mode_hamiltonian), row 0 equal to (0, g_1, ..., g_N) for A+, and
+(sum_j g_j^2 e_00 - g g^T) / 2 for the su(2) generator J3.  The coupler is
+(w, couplings) alone.  Its operators conserve excitation, so each is passed
+as the list of its dense blocks K = 0..n_max, and the identity is checked
+block by block.  N comes from params; the layout supplies only n_max, how many
+blocks.  f diverges when sqrt(gamma) hits an odd multiple of pi, and
+evaluation is refused near those points rather than clamped.  Both
+propagators refuse a t whose phases exp(-i t lambda) floating point cannot
+resolve, by one rule on t*lambda_max (CouplerParams.check_phases).  Each
+factor is the Fock image (fock.image) of a mode matrix: the mode matrix c of
+A+ has c^2 = 0, so exp(eps f A+) is the image of I + eps f c, and the free
+phase is the image of exp(-i t w) I.  The image is a homomorphism, so the
+disentangled propagator is the image of the product of three (N+1) x (N+1)
+matrices; only the oracle, exact_propagator, builds Fock blocks of H and
+diagonalizes them.  one_body maps commutators to commutators, so the su(2)
+relations among J+, J- and J3 hold on every block iff they hold on the mode
+matrices, and algebra_check checks them there, with no n_max.  The checks
+here measure; the caller decides pass or fail.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ __all__ = [
     "CouplerParams",
     "FactorizationReport",
     "singularity_margin",
-    "build_hamiltonian",
+    "mode_hamiltonian",
     "exact_propagator",
     "factor_coefficients",
     "factorized_propagator",
@@ -161,17 +161,17 @@ def _raising_modes(params: CouplerParams) -> np.ndarray:
     return c
 
 
-def build_hamiltonian(params: CouplerParams, layout: ModeLayout) -> list[np.ndarray]:
-    """Blocks K = 0..n_max of w N_tot + sum_j g_j (a^dag b_j + a b_j^dag), modes w I + G."""
+def mode_hamiltonian(params: CouplerParams) -> np.ndarray:
+    """Mode matrix w I + G of H, G[0, j] = G[j, 0] = g_j: block K of H is one_body of it."""
     c = _raising_modes(params)
-    m = params.w * np.eye(len(c)) + c + c.T
-    return [fock.one_body(m, k) for k in range(layout.n_max + 1)]
+    return params.w * np.eye(len(c)) + c + c.T
 
 
 def exact_propagator(params: CouplerParams, layout: ModeLayout, t: float) -> list[np.ndarray]:
     """Blocks of exp(-i t H), the brute-force reference propagator."""
     params.check_phases(t, layout.n_max)
-    return [expm_hermitian(h, t) for h in build_hamiltonian(params, layout)]
+    h = mode_hamiltonian(params)
+    return [expm_hermitian(fock.one_body(h, k), t) for k in range(layout.n_max + 1)]
 
 
 def factor_coefficients(params: CouplerParams, t: float) -> tuple[float, float]:

@@ -42,6 +42,12 @@ def expm_series(a: np.ndarray) -> np.ndarray:
     raise AssertionError(f"A^{len(a) + 1} is not zero; A is not nilpotent")
 
 
+def hamiltonian_blocks(params, n_max: int) -> list[np.ndarray]:
+    """Blocks K = 0..n_max of H, the one-body images of coupler.mode_hamiltonian."""
+    h = coupler.mode_hamiltonian(params)
+    return [fock.one_body(h, k) for k in range(n_max + 1)]
+
+
 def tensor_one_body(m, d: int) -> np.ndarray:
     """sum_ij m[i, j] a_i^dag a_j on the tensor product of d levels per mode.
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from couplersim import analysis, coupler
+from couplersim import analysis
 from couplersim.analysis import (
     FreePhaseMismatch,
     NotNormalized,
@@ -14,8 +14,13 @@ from couplersim.analysis import (
     schmidt,
     truth_table,
 )
-from couplersim.coupler import CouplerParams, UnresolvedPhase, exact_propagator
-from couplersim.fock import block_occupations
+from couplersim.coupler import (
+    CouplerParams,
+    UnresolvedPhase,
+    exact_propagator,
+    mode_hamiltonian,
+)
+from couplersim.fock import block_occupations, one_body
 from couplersim.gates import (
     QubitGate,
     control_c_phase,
@@ -253,6 +258,62 @@ def test_top_block_is_the_all_ones_input_alone(n_outer):
     assert abs(terms.sum() - 1.0) <= 1e-14
 
 
+def signed_couplers(n_outer, seed, count):
+    """count seeded couplers with random signs and sizes, one coupling zero from N = 2."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        g = rng.uniform(0.3, 1.5, n_outer) * rng.choice([-1.0, 1.0], n_outer)
+        if n_outer > 1:
+            g[rng.integers(n_outer)] = 0.0
+        yield CouplerParams(w=float(rng.uniform(-2.0, 2.0)), couplings=tuple(g.tolist()))
+
+
+@pytest.mark.parametrize("n_outer", [1, 2, 3, 4])
+def test_mode_eigenvectors_diagonalize_every_block(monkeypatch, n_outer):
+    # _computational_spectrum diagonalizes h = w I + G = V diag(mu) V^dag
+    # alone and takes block K's eigenvectors from Gamma(V), recorded here
+    # from its image call.  On every block K <= N+1, Gamma(V)_K is unitary
+    # and H_K Gamma(V)_K = Gamma(V)_K diag(lambda_K) within 1e-13 of
+    # K (|w| + ||g||), the bound on ||H_K||_2, and lambda_K is the spectrum
+    # of the Fock block.
+    images, original = [], analysis.image
+
+    def recording_image(u, n_max):
+        images.append(original(u, n_max))
+        return images[-1]
+
+    monkeypatch.setattr(analysis, "image", recording_image)
+    for params in signed_couplers(n_outer, 60 + n_outer, 5):
+        images.clear()
+        blocks = analysis._computational_spectrum(params)
+        (vecs,) = images
+        h = mode_hamiltonian(params)
+        assert len(vecs) == len(blocks) == n_outer + 2
+        for k, (v, (lam, _, _)) in enumerate(zip(vecs, blocks)):
+            h_k = one_body(h, k)
+            scale = k * (abs(params.w) + params.coupling_norm)
+            assert np.linalg.norm(v.conj().T @ v - np.eye(len(v))) <= 1e-12
+            assert np.linalg.norm(h_k @ v - v * lam) <= 1e-13 * scale
+            assert np.abs(np.sort(lam) - np.linalg.eigvalsh(h_k)).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n_outer", [1, 2, 3])
+def test_leakage_is_at_most_twice_the_distance(n_outer):
+    # scan_times decides a hit by distance alone: R is a block of a unitary
+    # and each candidate C is unitary, so ||R^dag R - I||_F <= 2 ||R - C||_F.
+    rng = np.random.default_rng(80 + n_outer)
+    candidates = realizable_gates(n_outer + 1)
+    leaks = []
+    for params in signed_couplers(n_outer, 70 + n_outer, 3):
+        for t in rng.uniform(0.0, 4.0 * math.pi / params.coupling_norm, 8):
+            r = computational_restriction(params, float(t))
+            leakage = np.linalg.norm(r.conj().T @ r - np.eye(len(r)))
+            distance = min(np.linalg.norm(r - c.matrix) for c in candidates)
+            assert leakage <= 2.0 * distance + 1e-12
+            leaks.append(leakage)
+    assert max(leaks) > 0.1
+
+
 # sqrt(4 - 3 * 2^(-2/3)): the closest R(t) comes to control-C at N = 1.
 CONTROL_C_APPROACH = math.sqrt(4.0 - 3.0 * 2.0 ** (-2.0 / 3.0))
 
@@ -380,23 +441,20 @@ def computational_restriction(params, t):
 
 def reference_scan(params, t_min, t_max, steps, tol):
     """Per-point oracle: read the exact propagator's blocks at every grid point."""
-    modes = params.n_outer + 1
-    candidates = realizable_gates(modes)
-    comp = range(2**modes)
+    candidates = realizable_gates(params.n_outer + 1)
     hits = []
     for t in np.linspace(t_min, t_max, steps):
         r = computational_restriction(params, float(t))
-        if np.linalg.norm(r.conj().T @ r - np.eye(len(comp))) > tol:
-            continue
         dist, label = min((np.linalg.norm(r - c.matrix), c.label) for c in candidates)
         if dist <= tol:
             hits.append((float(t), label, float(dist)))
     return hits
 
 
-def top_deviation(params, t):
-    """||<1...1|U(t)|1...1>|^2 - 1| from the exact propagator."""
-    return abs(abs(computational_restriction(params, t)[-1, -1]) ** 2 - 1.0)
+def top_share(params, t):
+    """min_C |<1...1|U(t)|1...1> - C_{N+1}|, the top block's least distance, from the oracle."""
+    top = computational_restriction(params, t)[-1, -1]
+    return min(abs(top - c.matrix[-1, -1]) for c in realizable_gates(params.n_outer + 1))
 
 
 def record_restrictions(monkeypatch, params, points):
@@ -460,7 +518,8 @@ class TestScanOracle:
         self, monkeypatch, params, t_min, t_max, chunks, extra
     ):
         # Each chunk screens all its points on the top block, then builds the
-        # other blocks on the points within tol of |R_{N+1}|^2 = 1 only.
+        # other blocks on the points whose top block is within tol of a
+        # candidate's only.
         calls = record_restrictions(monkeypatch, params, 8)
         steps = chunks * 8 + extra
         expected = reference_scan(params, t_min, t_max, steps, 0.2)
@@ -471,7 +530,7 @@ class TestScanOracle:
         assert all(len(blocks) == 1 for blocks, _ in top)
         assert all(len(blocks) == params.n_outer + 1 for blocks, _ in rest)
         for (_, screened), (_, built) in zip(top, rest):
-            keep = [top_deviation(params, float(t)) <= 0.2 + 1e-12 for t in screened]
+            keep = [top_share(params, float(t)) <= 0.2 for t in screened]
             assert built.tolist() == screened[keep].tolist()
         assert [(h.t, h.label) for h in hits] == [(t, label) for t, label, _ in expected]
         for hit, (_, _, dist) in zip(hits, expected):
@@ -489,26 +548,16 @@ class TestScanOracle:
         ids=["n1", "n2"],
     )
     def test_prefilter_keeps_a_point_at_the_tolerance(self, params, t_min, t_max, steps):
-        # The point whose top-block deviation ||R_{N+1}|^2 - 1| is largest
-        # against max(leakage, distance), all from the per-point oracle, is
-        # still reported when tol is that maximum: the deviation bounds the
-        # leakage from below and never drops a point the hit rule would keep.
-        # The 1e-14 covers the scan and the oracle rounding differently.
-        candidates = realizable_gates(params.n_outer + 1)
-        best = None
-        for t in np.linspace(t_min, t_max, steps):
-            r = computational_restriction(params, float(t))
-            bound = max(
-                np.linalg.norm(r.conj().T @ r - np.eye(len(r))),
-                min(np.linalg.norm(r - c.matrix) for c in candidates),
-            )
-            ratio = abs(abs(r[-1, -1]) ** 2 - 1.0) / bound
-            if bound <= 0.3 and (best is None or ratio > best[0]):
-                best = (ratio, float(t), bound)
-        ratio, t, bound = best
+        # Of the hits at tol 0.3, the one whose top-block share carries the
+        # largest part of its distance is still reported when tol is its
+        # distance to the bit: the scan's float distance^2 is a sum of
+        # non-negative shares that includes the one the screen tests, so
+        # the screen never drops a point the hit rule would keep.  The
+        # oracle, which rounds differently, gets 1e-14 more.
+        loose = scan_times(params, t_min=t_min, t_max=t_max, steps=steps, tol=0.3)
+        ratio, t, tol = max((top_share(params, h.t) / h.distance, h.t, h.distance) for h in loose)
         assert ratio > 0.1
-        tol = bound + 1e-14
-        expected = reference_scan(params, t_min, t_max, steps, tol)
+        expected = reference_scan(params, t_min, t_max, steps, tol + 1e-14)
         hits = scan_times(params, t_min=t_min, t_max=t_max, steps=steps, tol=tol)
         assert t in [h.t for h in hits]
         assert [(h.t, h.label) for h in hits] == [(t, label) for t, label, _ in expected]
@@ -536,14 +585,29 @@ class TestScanOracle:
         )
 
     def test_survivors_near_no_candidate_are_not_hits(self, monkeypatch):
-        # Around t = 3 pi the top block is back on the unit circle and
-        # R(t) ~ diag(1, -i, -i, -1) leaks nothing, but it is 2 or more from
-        # every candidate: points survive the screen and none is a hit.
-        params = equal_params(1, 1.0, 0.5)
+        # At w = g = 1 and t = pi / 2, R(t) = diag(1, -X, 1): its top block is
+        # every candidate's, 1, but it is 2 from the identity and the parity
+        # gate and 2 sqrt(2) from SWAP, so points around it survive the
+        # screen and none is a hit.
+        params = equal_params(1, 1.0, 1.0)
         calls = record_restrictions(monkeypatch, params, 8)
-        assert reference_scan(params, 9.0, 9.9, 60, 0.05) == []
-        assert scan_times(params, t_min=9.0, t_max=9.9, steps=60, tol=0.05) == []
+        assert reference_scan(params, 1.45, 1.7, 60, 0.05) == []
+        assert scan_times(params, t_min=1.45, t_max=1.7, steps=60, tol=0.05) == []
         assert sum(len(times) for _, times in calls[1::2]) > 0
+
+    @pytest.mark.parametrize("g, w", [(1.0, 3.0), (-1.0, 1.0)])
+    def test_phased_swap_hits_match_per_point_reference(self, g, w):
+        # At t = pi / 2, c = 0 and s = 1, and z = e^{-i w t} is i for
+        # (g, w) = (1, 3) and -i for (-1, 1): either way R(t) is SWAP exactly.
+        # A sign or transpose slip in the eigenvectors Gamma(V) turns the
+        # middle block into -X, 2 sqrt(2) from SWAP, and loses these hits.
+        params = CouplerParams(w=w, couplings=(g,))
+        expected = reference_scan(params, 1.4, 1.75, 351, 0.05)
+        hits = scan_times(params, t_min=1.4, t_max=1.75, steps=351, tol=0.05)
+        assert {label for _, label, _ in expected} == {swap_gate().label}
+        assert [(h.t, h.label) for h in hits] == [(t, label) for t, label, _ in expected]
+        for hit, (_, _, dist) in zip(hits, expected):
+            assert abs(hit.distance - dist) <= 1e-12
 
     def test_random_couplers_match_per_point_reference(self):
         # N = 1, 2 and 3 with random signs and sizes, the N = 2 one with a
@@ -578,24 +642,25 @@ class TestScanOracle:
 
     @pytest.mark.parametrize("steps", [2, 500, 3000])
     def test_hamiltonian_built_and_diagonalized_once(self, monkeypatch, steps):
-        # one build, then one eigh per block K = 0..N+1
-        counts = {"build": 0, "eigh": 0}
-        original_build, original_eigh = coupler.build_hamiltonian, np.linalg.eigh
+        # one mode matrix built and one eigh, on that (N+1) x (N+1) matrix,
+        # whatever the number of points
+        shapes, builds = [], []
+        original_build, original_eigh = analysis.mode_hamiltonian, np.linalg.eigh
 
         def counting_build(*args, **kwargs):
-            counts["build"] += 1
+            builds.append(args)
             return original_build(*args, **kwargs)
 
-        def counting_eigh(*args, **kwargs):
-            counts["eigh"] += 1
-            return original_eigh(*args, **kwargs)
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original_eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(coupler, "build_hamiltonian", counting_build)
-        monkeypatch.setattr(analysis, "build_hamiltonian", counting_build)
+        monkeypatch.setattr(analysis, "mode_hamiltonian", counting_build)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        params = equal_params(1, 1.0, 0.5)
-        scan_times(params, t_min=0.1, t_max=13.0, steps=steps, tol=0.05)
-        assert counts == {"build": 1, "eigh": 3}
+        params = equal_params(2, 1.0, math.sqrt(2) / 2.0)
+        scan_times(params, t_min=3.0, t_max=6.0, steps=steps, tol=0.05)
+        assert len(builds) == 1
+        assert shapes == [(3, 3)]
 
     @pytest.mark.parametrize(
         "t_min, t_max, tol",
